@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nn.module import Parameter
 
+# Elements per Adam block: six float64 blocks (parameter, gradient, two
+# moments, two scratch buffers) of 128 KiB each stay in a core's L2 cache.
+_BLOCK = 1 << 14
+
 
 class Optimizer:
-    """Base class: holds a parameter list and implements ``zero_grad``."""
+    """Base class: holds a parameter list and implements ``zero_grad``.
+
+    ``step()`` updates every ``param.data`` array in place, so any array that
+    aliases a parameter sees the update.
+    """
 
     def __init__(self, parameters: list[Parameter]):
         self.parameters = list(parameters)
@@ -49,11 +59,31 @@ class SGD(Optimizer):
                 velocity *= self.momentum
                 velocity += grad
                 grad = velocity
-            param.data = param.data - self.lr * grad
+            param.data -= self.lr * grad
+
+
+def _rows_per_block(shape: tuple[int, ...]) -> int:
+    """Leading-axis rows per Adam block for an at least 1-D ``shape``.
+
+    A block holds about ``_BLOCK`` elements, or one row when a row is longer.
+    """
+    return max(1, _BLOCK // max(1, math.prod(shape[1:])))
 
 
 class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba, 2015) with decoupled-style weight decay."""
+    """Adam optimizer (Kingma & Ba, 2015) with L2 weight decay.
+
+    The decay is coupled: ``weight_decay * θ`` is added to the gradient before
+    the moment estimates (plain L2 regularisation, not AdamW's decoupled
+    decay).
+
+    :meth:`step` walks each parameter in row blocks of about ``_BLOCK``
+    elements and runs the whole update on a block while it is in cache,
+    writing through two persistent scratch buffers.  Each element goes through
+    the same IEEE operations, in the same order, as the textbook expression
+    ``θ - lr * (m / b1) / (sqrt(v / b2) + eps)``; element-wise arithmetic does
+    not depend on blocking or layout, so the result is bit for bit the same.
+    """
 
     def __init__(self, parameters: list[Parameter], lr: float = 0.001,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
@@ -72,6 +102,10 @@ class Adam(Optimizer):
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
+        shapes = [np.atleast_1d(p.data).shape for p in self.parameters]
+        block = max(min(shape[0], _rows_per_block(shape)) * math.prod(shape[1:])
+                    for shape in shapes)
+        self._scratch = np.empty((2, block))
 
     def step(self) -> None:
         self._step_count += 1
@@ -80,16 +114,25 @@ class Adam(Optimizer):
         for param, m, v in zip(self.parameters, self._m, self._v):
             if param.grad is None:
                 continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad ** 2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            arrays = np.atleast_1d(param.data, param.grad, m, v)
+            rows = _rows_per_block(arrays[0].shape)
+            for start in range(0, len(arrays[0]), rows):
+                self._update_block(*(a[start:start + rows] for a in arrays), bias1, bias2)
+
+    def _update_block(self, theta: np.ndarray, grad: np.ndarray, m: np.ndarray,
+                      v: np.ndarray, bias1: float, bias2: float) -> None:
+        """The textbook Adam update of one block, in place, operation by operation."""
+        first, second = (buffer[:theta.size].reshape(theta.shape) for buffer in self._scratch)
+        if self.weight_decay:
+            grad = np.add(grad, np.multiply(self.weight_decay, theta, out=first), out=first)
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, grad, out=second)
+        v *= self.beta2
+        v += np.multiply(1.0 - self.beta2, np.square(grad, out=second), out=second)
+        denom = np.add(np.sqrt(np.divide(v, bias2, out=second), out=second), self.eps,
+                       out=second)
+        step = np.multiply(self.lr, np.divide(m, bias1, out=first), out=first)
+        theta -= np.divide(step, denom, out=first)
 
 
 def clip_gradients(parameters: list[Parameter], max_norm: float) -> float:

@@ -7,6 +7,12 @@ on a scalar result accumulates gradients into every ``requires_grad`` leaf.
 Only the operations required by the models in this repository are implemented
 (dense matmul, element-wise arithmetic, relu/tanh/sigmoid/exp/log, reductions,
 indexing, concatenation), which keeps the engine small and auditable.
+
+Two rules keep the backward pass lean without changing any result: a binary
+op computes an operand's gradient only when that operand ``requires_grad``
+(the input features, dropout masks and one-hot labels are constants), and a
+gradient freshly allocated for one operand is adopted as its first ``grad``
+instead of being copied.
 """
 
 from __future__ import annotations
@@ -87,11 +93,17 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``.
+
+        ``owned`` promises that ``grad`` was allocated for this call alone
+        (no view of another gradient), so a first gradient adopts it as is.
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.array(grad, dtype=np.float64, copy=True)
+            self.grad = (np.asarray(grad, dtype=np.float64) if owned
+                         else np.array(grad, dtype=np.float64, copy=True))
         else:
             self.grad += grad
 
@@ -103,8 +115,10 @@ class Tensor:
         data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.data.shape))
-            other._accumulate(_unbroadcast(grad, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(grad, other.data.shape))
 
         return self._make(data, (self, other), backward)
 
@@ -114,7 +128,7 @@ class Tensor:
         data = -self.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
+            self._accumulate(-grad, owned=True)
 
         return self._make(data, (self,), backward)
 
@@ -129,8 +143,10 @@ class Tensor:
         data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other.data, self.data.shape))
-            other._accumulate(_unbroadcast(grad * self.data, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad * other.data, self.data.shape), owned=True)
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(grad * self.data, other.data.shape), owned=True)
 
         return self._make(data, (self, other), backward)
 
@@ -141,10 +157,13 @@ class Tensor:
         data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad / other.data, self.data.shape))
-            other._accumulate(
-                _unbroadcast(-grad * self.data / (other.data ** 2), other.data.shape)
-            )
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad / other.data, self.data.shape), owned=True)
+            if other.requires_grad:
+                other._accumulate(
+                    _unbroadcast(-grad * self.data / (other.data ** 2), other.data.shape),
+                    owned=True,
+                )
 
         return self._make(data, (self, other), backward)
 
@@ -157,7 +176,7 @@ class Tensor:
         data = self.data ** exponent
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
+            self._accumulate(grad * exponent * self.data ** (exponent - 1), owned=True)
 
         return self._make(data, (self,), backward)
 
@@ -166,8 +185,10 @@ class Tensor:
         data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad @ other.data.T)
-            other._accumulate(self.data.T @ grad)
+            if self.requires_grad:
+                self._accumulate(grad @ other.data.T, owned=True)
+            if other.requires_grad:
+                other._accumulate(self.data.T @ grad, owned=True)
 
         return self._make(data, (self, other), backward)
 
@@ -193,7 +214,7 @@ class Tensor:
         data = self.data * mask
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * mask, owned=True)
 
         return self._make(data, (self,), backward)
 
@@ -201,7 +222,7 @@ class Tensor:
         data = np.tanh(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - data ** 2))
+            self._accumulate(grad * (1.0 - data ** 2), owned=True)
 
         return self._make(data, (self,), backward)
 
@@ -213,7 +234,7 @@ class Tensor:
         data[~pos] = exp_x / (1.0 + exp_x)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * data * (1.0 - data))
+            self._accumulate(grad * data * (1.0 - data), owned=True)
 
         return self._make(data, (self,), backward)
 
@@ -221,7 +242,7 @@ class Tensor:
         data = np.exp(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * data)
+            self._accumulate(grad * data, owned=True)
 
         return self._make(data, (self,), backward)
 
@@ -229,7 +250,7 @@ class Tensor:
         data = np.log(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
+            self._accumulate(grad / self.data, owned=True)
 
         return self._make(data, (self,), backward)
 
@@ -247,7 +268,7 @@ class Tensor:
                 if not keepdims:
                     grad = np.expand_dims(grad, axis)
                 expanded = np.broadcast_to(grad, self.data.shape)
-            self._accumulate(expanded.copy())
+            self._accumulate(expanded)
 
         return self._make(data, (self,), backward)
 
@@ -278,7 +299,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
             np.add.at(full, index, grad)
-            self._accumulate(full)
+            self._accumulate(full, owned=True)
 
         return self._make(data, (self,), backward)
 
@@ -311,7 +332,7 @@ class Tensor:
         softmax = np.exp(data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad - softmax * grad.sum(axis=axis, keepdims=True))
+            self._accumulate(grad - softmax * grad.sum(axis=axis, keepdims=True), owned=True)
 
         return self._make(data, (self,), backward)
 
