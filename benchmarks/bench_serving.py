@@ -208,6 +208,50 @@ def _contention_phase(plane, alpha_key, beta_key, nodes, offline, *,
     return solo, contended
 
 
+class _SharedQueue:
+    """The contention gate's reference plane: both models behind ONE
+    single-key :class:`MicroBatcher` — one forming batch, one row budget,
+    one deadline and one dispatch thread, the shared queue the per-model
+    router replaced.
+
+    Each node id carries its model's index in its high bits, so a flush
+    still runs one compute per model, in first-arrival order, and every
+    row is answered by the model it was asked of.
+    """
+
+    SHIFT = 40
+
+    def __init__(self, compute, model_keys, **limits):
+        self._compute = compute
+        self._keys = list(model_keys)
+        self._batcher = MicroBatcher(self._compute_flush, **limits)
+
+    def _compute_flush(self, tagged):
+        models = tagged >> self.SHIFT
+        nodes = tagged & ((1 << self.SHIFT) - 1)
+        _, first_rows = np.unique(models, return_index=True)
+        scores = None
+        for model in models[np.sort(first_rows)]:
+            rows = models == model
+            part = self._compute(self._keys[model], nodes[rows])
+            if scores is None:
+                scores = np.empty((tagged.size, part.shape[1]), part.dtype)
+            scores[rows] = part
+        return scores
+
+    def predict_scores(self, model_key, nodes, timeout=None):
+        tag = self._keys.index(model_key) << self.SHIFT
+        return self._batcher.predict_scores(
+            np.asarray(nodes, dtype=np.int64) + tag, timeout)
+
+    def __enter__(self):
+        self._batcher.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._batcher.close()
+
+
 def _run_contention(settings, registry_root):
     registry, graph, models = _publish_two_models(settings, registry_root)
     service = InferenceService(registry, graph=graph,
@@ -243,10 +287,10 @@ def _run_contention(settings, registry_root):
             spacing=spacing, hammer_nodes=hammer_nodes)
     stats = service.stats()
 
-    # Reference data plane: the PR 4 single shared queue, same compute —
-    # beta's tickets share alpha's forming batch, deadline and dispatch.
-    with MicroBatcher(contended_compute, max_batch_size=64,
-                      max_latency=0.002) as legacy:
+    # Reference data plane: one shared queue, same compute — beta's
+    # tickets share alpha's forming batch, deadline and dispatch.
+    with _SharedQueue(contended_compute, (alpha_key, beta_key),
+                      max_batch_size=64, max_latency=0.002) as legacy:
         legacy_solo, legacy_contended = _contention_phase(
             legacy, alpha_key, beta_key, nodes, offline_beta,
             spacing=spacing, hammer_nodes=hammer_nodes)

@@ -158,7 +158,7 @@ def render_server_metrics(service, *, server=None, tracer=None) -> str:
     out.counter("repro_batches_total", stats.batches,
                 "Micro-batch flushes executed.")
     out.counter("repro_matmuls_total", stats.matmuls,
-                "Stacked matmuls executed (one per model per flush).")
+                "Stacked matmuls executed (one per flush of a model queue).")
     out.counter("repro_coalesced_requests_total", stats.coalesced_requests,
                 "Requests that shared a matmul with others.")
 

@@ -1,13 +1,12 @@
-"""Micro-batching of inference requests: many queries, one matmul per model.
+"""Micro-batching of one model's inference requests: many queries, one matmul.
 
 Serving traffic arrives as many small, independent queries ("scores for
 nodes [3, 17]").  Answering each with its own matmul wastes the data plane:
 the per-call overhead (Python dispatch, BLAS setup) dominates the handful of
 fused multiply-adds a single row costs.  The :class:`MicroBatcher` coalesces
-concurrently arriving requests — up to ``max_batch_size`` queried rows or
-``max_latency`` seconds, whichever comes first — and answers each batch with
-**one** stacked ``aggregated @ theta`` matmul per distinct model in the
-batch.
+concurrently arriving requests for one model — up to ``max_batch_size``
+queried rows or ``max_latency`` seconds, whichever comes first — and answers
+each batch with **one** stacked ``aggregated @ theta`` matmul.
 
 Correctness does not depend on the schedule: selecting rows of the cached
 feature matrix and multiplying the stack is bitwise identical to computing
@@ -16,12 +15,13 @@ serving equivalence tests), so coalescing can only change latency, never
 numbers.
 
 The batcher is deliberately execution-agnostic: it calls a user-supplied
-``compute(model_key, node_indices) -> scores`` and never touches models,
-graphs or caches itself — :class:`repro.serving.service.InferenceService`
-wires it to the feature-cache-backed scorer.  ``start()`` runs the dispatch
-loop on a daemon thread (the HTTP server path); ``run_once()`` drains the
-currently queued requests synchronously, which is what the deterministic
-tests and benchmarks use.
+``compute(node_indices) -> scores`` and never touches models, graphs or
+caches itself.  It knows nothing of model keys either:
+:class:`repro.serving.router.ModelRouter` gives every model its own batcher
+and binds the key into that batcher's ``compute``.  ``start()`` runs the
+dispatch loop on a daemon thread (the HTTP server path); ``run_once()``
+drains the currently queued requests synchronously, which is what the
+deterministic tests and benchmarks use.
 """
 
 from __future__ import annotations
@@ -29,31 +29,39 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
+def checked_limits(max_batch_size: int | None,
+                   max_latency: float | None) -> tuple[int | None, float | None]:
+    """Validate and normalise a pair of batch limits; ``None`` passes through.
+
+    The one range check every layer that accepts limits (batcher, router
+    defaults, per-model overrides) goes through.
+    """
+    if max_batch_size is not None:
+        if max_batch_size < 1:
+            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
+        max_batch_size = int(max_batch_size)
+    if max_latency is not None:
+        if max_latency < 0:
+            raise ValueError(f"max_latency must be >= 0, got {max_latency}")
+        max_latency = float(max_latency)
+    return max_batch_size, max_latency
+
+
 @dataclass
 class BatchStats:
-    """Counters describing what the batcher has done so far.
-
-    Coalescing and batch-row extrema are accounted **per model**: two tickets
-    only count as coalesced when they share both a flush *and* a model (they
-    were answered by one stacked matmul), and ``max_batch_rows`` is the
-    largest single-model stack ever multiplied — not the row count of a
-    mixed-model flush, which never hits BLAS as one operation.
-    """
+    """Counters describing what one queue (or a merged set) has done."""
 
     requests: int = 0
     rows_requested: int = 0
     batches: int = 0
     matmuls: int = 0
     coalesced_requests: int = 0   # tickets that shared a matmul with others
-    max_batch_rows: int = 0       # largest single-model stacked matmul
-    per_model_matmuls: dict = field(default_factory=dict)
-    per_model_coalesced: dict = field(default_factory=dict)
-    per_model_max_rows: dict = field(default_factory=dict)
+    max_batch_rows: int = 0       # largest stacked matmul, in rows
 
     def as_dict(self) -> dict:
         return {
@@ -63,9 +71,6 @@ class BatchStats:
             "matmuls": self.matmuls,
             "coalesced_requests": self.coalesced_requests,
             "max_batch_rows": self.max_batch_rows,
-            "per_model_matmuls": dict(self.per_model_matmuls),
-            "per_model_coalesced": dict(self.per_model_coalesced),
-            "per_model_max_rows": dict(self.per_model_max_rows),
         }
 
     def merge(self, other: "BatchStats") -> "BatchStats":
@@ -76,14 +81,6 @@ class BatchStats:
         self.matmuls += other.matmuls
         self.coalesced_requests += other.coalesced_requests
         self.max_batch_rows = max(self.max_batch_rows, other.max_batch_rows)
-        for source, target in (
-                (other.per_model_matmuls, self.per_model_matmuls),
-                (other.per_model_coalesced, self.per_model_coalesced)):
-            for label, count in source.items():
-                target[label] = target.get(label, 0) + count
-        for label, rows in other.per_model_max_rows.items():
-            self.per_model_max_rows[label] = max(
-                self.per_model_max_rows.get(label, 0), rows)
         return self
 
 
@@ -91,12 +88,11 @@ class _Ticket:
     """One submitted request: callers block on :meth:`result` (or poll
     :meth:`done`, which is what the selector HTTP frontend does)."""
 
-    __slots__ = ("nodes", "model_key", "submitted_at", "execute_at",
+    __slots__ = ("nodes", "submitted_at", "execute_at",
                  "compute_started_at", "compute_ended_at", "on_done",
                  "_event", "_scores", "_error")
 
-    def __init__(self, model_key, nodes: np.ndarray, submitted_at: float = 0.0):
-        self.model_key = model_key
+    def __init__(self, nodes: np.ndarray, submitted_at: float = 0.0):
         self.nodes = nodes
         self.submitted_at = submitted_at
         # Lifecycle timestamps (same clock as submitted_at), stamped by the
@@ -144,14 +140,14 @@ class _Ticket:
 
 
 class MicroBatcher:
-    """Coalesces inference requests into per-model stacked matmuls.
+    """Coalesces one model's inference requests into stacked matmuls.
 
     Parameters
     ----------
     compute:
-        ``(model_key, node_indices: np.ndarray) -> np.ndarray`` — scores for
-        the stacked rows.  Must be thread-safe; it runs on the dispatch
-        thread, never on callers.
+        ``(node_indices: np.ndarray) -> np.ndarray`` — scores for the
+        stacked rows.  Must be thread-safe; it runs on the dispatch thread,
+        never on callers.
     max_batch_size:
         Flush a forming batch once this many *rows* are queued across its
         requests.
@@ -162,20 +158,23 @@ class MicroBatcher:
         Optional metrics sink (duck-typed, see
         :class:`repro.serving.metrics.ServingMetrics`): ``observe_queue_depth
         (label, depth)`` at flush time and ``observe_batch(label, tickets,
-        completed_at, failed=...)`` after each per-model matmul.
+        completed_at, failed=...)`` after each matmul.
+    label:
+        Zero-argument callable naming this queue for the observer, called
+        at observation time (default ``str``: the empty label).
     """
 
     def __init__(self, compute, *, max_batch_size: int = 64,
                  max_latency: float = 0.005, clock=time.monotonic,
                  observer=None, label=str):
         self._compute = compute
-        self._label = label  # model_key -> str for stats/metrics labels
+        self._label = label
         # Both batch limits live in ONE tuple that is swapped atomically and
         # snapshotted once per forming batch, so a runtime reconfiguration
         # (the SLO controller tunes limits while the dispatch thread is
         # mid-flush) takes effect exactly at a batch boundary and the loop
         # can never observe a torn (new size, old deadline) mix.
-        self._limits = self._checked_limits(max_batch_size, max_latency)
+        self._limits = checked_limits(max_batch_size, max_latency)
         self._limits_lock = threading.Lock()
         self._clock = clock
         self._observer = observer
@@ -185,14 +184,6 @@ class MicroBatcher:
         self._inflight = 0  # submitted, not yet resolved/failed (queue depth)
         self.stats = BatchStats()
         self._stats_lock = threading.Lock()
-
-    @staticmethod
-    def _checked_limits(max_batch_size: int, max_latency: float) -> tuple[int, float]:
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_latency < 0:
-            raise ValueError(f"max_latency must be >= 0, got {max_latency}")
-        return int(max_batch_size), float(max_latency)
 
     # ------------------------------------------------------------------ #
     # batch limits (atomically reconfigurable at batch boundaries)
@@ -207,7 +198,7 @@ class MicroBatcher:
         """
         with self._limits_lock:
             size, latency = self._limits
-            limits = self._checked_limits(
+            limits = checked_limits(
                 size if max_batch_size is None else max_batch_size,
                 latency if max_latency is None else max_latency)
             self._limits = limits
@@ -217,27 +208,19 @@ class MicroBatcher:
     def max_batch_size(self) -> int:
         return self._limits[0]
 
-    @max_batch_size.setter
-    def max_batch_size(self, value: int) -> None:
-        self.configure(max_batch_size=value)
-
     @property
     def max_latency(self) -> float:
         return self._limits[1]
 
-    @max_latency.setter
-    def max_latency(self, value: float) -> None:
-        self.configure(max_latency=value)
-
     # ------------------------------------------------------------------ #
     # submission
     # ------------------------------------------------------------------ #
-    def submit(self, model_key, nodes) -> _Ticket:
+    def submit(self, nodes) -> _Ticket:
         """Enqueue one request; returns a ticket to block on."""
         nodes = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
         if nodes.ndim != 1 or nodes.size == 0:
             raise ValueError("a request must name at least one node index")
-        ticket = _Ticket(model_key, nodes, submitted_at=self._clock())
+        ticket = _Ticket(nodes, submitted_at=self._clock())
         with self._stats_lock:
             self.stats.requests += 1
             self.stats.rows_requested += int(nodes.size)
@@ -251,14 +234,14 @@ class MicroBatcher:
         with self._stats_lock:
             return self._inflight
 
-    def predict_scores(self, model_key, nodes, timeout: float | None = 30.0) -> np.ndarray:
+    def predict_scores(self, nodes, timeout: float | None = 30.0) -> np.ndarray:
         """Submit and wait: the synchronous convenience used by the service.
 
         When no dispatch thread is running, the queued batch is executed
         inline (still through the exact batch path), so the batcher works
         in single-threaded library use without background machinery.
         """
-        ticket = self.submit(model_key, nodes)
+        ticket = self.submit(nodes)
         if self._thread is None:
             self.run_once()
         return ticket.result(timeout)
@@ -341,79 +324,57 @@ class MicroBatcher:
     # execution
     # ------------------------------------------------------------------ #
     def _execute(self, batch: list[_Ticket]) -> None:
-        """One stacked matmul per distinct model in ``batch``."""
+        """Answer the whole flush with one stacked matmul."""
+        flushed_at = self._clock()
+        for ticket in batch:
+            ticket.execute_at = flushed_at
+        stacked = np.concatenate([ticket.nodes for ticket in batch])
+        if self._observer is not None:
+            # The flush itself plus whatever is still queued behind it.
+            self._observer.observe_queue_depth(
+                self._label(), len(batch) + self._queue.qsize())
+        with self._stats_lock:
+            self.stats.batches += 1
+            self.stats.max_batch_rows = max(self.stats.max_batch_rows,
+                                            int(stacked.size))
+            if len(batch) > 1:
+                self.stats.coalesced_requests += len(batch)
+        compute_started = self._clock()
+        for ticket in batch:
+            ticket.compute_started_at = compute_started
         try:
-            self._execute_batch(batch)
+            scores = self._compute(stacked)
+        except BaseException as error:
+            # Every caller learns of the failure now, not at its timeout.
+            # An Exception is theirs alone; anything else (KeyboardInterrupt,
+            # SystemExit, ...) is then re-raised for the dispatch loop or
+            # the inline caller to handle.
+            self._complete(batch, error=error)
+            if not isinstance(error, Exception):
+                raise
+        else:
+            self._complete(batch, scores=scores)
+
+    def _complete(self, batch: list[_Ticket], *, scores=None,
+                  error: BaseException | None = None) -> None:
+        compute_ended = self._clock()
+        for ticket in batch:
+            ticket.compute_ended_at = compute_ended
+        if error is None:
+            with self._stats_lock:
+                self.stats.matmuls += 1
+            offset = 0
+            for ticket in batch:
+                ticket._resolve(scores[offset:offset + ticket.nodes.size])
+                offset += ticket.nodes.size
+        else:
+            for ticket in batch:
+                ticket._fail(error)
+        try:
+            if self._observer is not None:
+                self._observer.observe_batch(self._label(), batch,
+                                             self._clock(),
+                                             failed=error is not None)
         finally:
             with self._stats_lock:
                 self._inflight -= len(batch)
-
-    def _execute_batch(self, batch: list[_Ticket]) -> None:
-        flushed_at = self._clock()
-        by_model: dict = {}
-        for ticket in batch:
-            ticket.execute_at = flushed_at
-            by_model.setdefault(ticket.model_key, []).append(ticket)
-        if self._observer is not None:
-            backlog = self._queue.qsize()  # still queued behind this flush
-            for model_key, tickets in by_model.items():
-                self._observer.observe_queue_depth(self._label(model_key),
-                                                   len(tickets) + backlog)
-        with self._stats_lock:
-            self.stats.batches += 1
-            for model_key, tickets in by_model.items():
-                # Coalescing and row extrema are per model: tickets of
-                # different models in one flush still cost one matmul each,
-                # so nothing coalesced and no larger stack was multiplied.
-                label = self._label(model_key)
-                rows = sum(int(ticket.nodes.size) for ticket in tickets)
-                self.stats.max_batch_rows = max(self.stats.max_batch_rows, rows)
-                self.stats.per_model_max_rows[label] = max(
-                    self.stats.per_model_max_rows.get(label, 0), rows)
-                if len(tickets) > 1:
-                    self.stats.coalesced_requests += len(tickets)
-                    self.stats.per_model_coalesced[label] = \
-                        self.stats.per_model_coalesced.get(label, 0) + len(tickets)
-        try:
-            for model_key, tickets in by_model.items():
-                stacked = np.concatenate([ticket.nodes for ticket in tickets])
-                compute_started = self._clock()
-                for ticket in tickets:
-                    ticket.compute_started_at = compute_started
-                try:
-                    scores = self._compute(model_key, stacked)
-                except Exception as error:  # forwarded to the blocked callers
-                    compute_ended = self._clock()
-                    for ticket in tickets:
-                        ticket.compute_ended_at = compute_ended
-                        ticket._fail(error)
-                    self._observe(model_key, tickets, failed=True)
-                    continue
-                compute_ended = self._clock()
-                for ticket in tickets:
-                    ticket.compute_ended_at = compute_ended
-                with self._stats_lock:
-                    self.stats.matmuls += 1
-                    label = self._label(model_key)
-                    per_model = self.stats.per_model_matmuls
-                    per_model[label] = per_model.get(label, 0) + 1
-                offset = 0
-                for ticket in tickets:
-                    ticket._resolve(scores[offset:offset + ticket.nodes.size])
-                    offset += ticket.nodes.size
-                self._observe(model_key, tickets, failed=False)
-        except BaseException as error:
-            # A non-Exception (KeyboardInterrupt, SystemExit, ...) from the
-            # compute hook must not strand callers blocked on their tickets
-            # until timeout: fail every still-unresolved ticket, then
-            # re-raise for the dispatch loop / inline caller to handle.
-            for ticket in batch:
-                if not ticket.done():
-                    ticket._fail(error)
-            raise
-
-    def _observe(self, model_key, tickets: list[_Ticket], *, failed: bool) -> None:
-        if self._observer is None:
-            return
-        self._observer.observe_batch(self._label(model_key), tickets,
-                                     self._clock(), failed=failed)

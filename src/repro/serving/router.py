@@ -10,22 +10,25 @@ budget, own deadline, own dispatch thread), created lazily on first traffic.
 Batch sizing can be tuned per model with :meth:`configure_model`; everything
 else inherits the router-wide defaults.
 
-The router duck-types the public ``MicroBatcher`` surface the service and
-tests already speak — ``submit`` / ``predict_scores`` / ``run_once`` /
-``start`` / ``close`` / ``stats`` — so it drops into
-:class:`~repro.serving.service.InferenceService` as the drop-in data plane.
-``stats`` is an aggregate view merged across queues; ``per_model_stats`` and
-the attached :class:`~repro.serving.metrics.ServingMetrics` (latency /
+The router is the only layer that knows about model keys: each queue is a
+single-model :class:`~repro.serving.batcher.MicroBatcher` whose ``compute``
+and metrics ``label`` have the key bound in, so
+:class:`~repro.serving.service.InferenceService` speaks ``submit(key,
+nodes)`` / ``predict_scores(key, nodes)`` to the router alone.  ``stats`` is
+an aggregate view merged across live queues plus every queue retired so
+far, so its counters never go backwards; ``per_model_stats`` and the
+attached :class:`~repro.serving.metrics.ServingMetrics` (latency /
 batch-size / queue-depth histograms) expose the per-model breakdown that
 ``/stats`` serves.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 
-from repro.serving.batcher import BatchStats, MicroBatcher
+from repro.serving.batcher import BatchStats, MicroBatcher, checked_limits
 from repro.serving.metrics import ServingMetrics
 
 
@@ -35,8 +38,8 @@ class ModelRouter:
     Parameters
     ----------
     compute:
-        ``(model_key, node_indices) -> scores``, exactly the
-        :class:`MicroBatcher` contract; shared by every queue.
+        ``(model_key, node_indices) -> scores``; each queue calls it with
+        its own key bound.
     max_batch_size / max_latency:
         Router-wide defaults for newly created per-model queues.
     metrics:
@@ -50,17 +53,15 @@ class ModelRouter:
     def __init__(self, compute, *, max_batch_size: int = 64,
                  max_latency: float = 0.005, metrics: ServingMetrics | None = None,
                  clock=time.monotonic, label=str):
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_latency < 0:
-            raise ValueError(f"max_latency must be >= 0, got {max_latency}")
         self._compute = compute
-        self.max_batch_size = int(max_batch_size)
-        self.max_latency = float(max_latency)
+        self.max_batch_size, self.max_latency = checked_limits(max_batch_size,
+                                                               max_latency)
         self.metrics = metrics if metrics is not None else ServingMetrics()
         self._clock = clock
         self._label = label
         self._queues: dict = {}
+        self._closing: list[MicroBatcher] = []  # retired, still flushing
+        self._retired = BatchStats()  # counters of every queue retired so far
         self._overrides: dict[str, dict] = {}
         self._lock = threading.Lock()
         self._started = False
@@ -72,16 +73,11 @@ class ModelRouter:
                         max_latency: float | None = None) -> None:
         """Override batch limits for one model label (affects its queue even
         if already created; applies to future flushes, not the forming one)."""
-        override: dict = {}
-        if max_batch_size is not None:
-            if max_batch_size < 1:
-                raise ValueError(
-                    f"max_batch_size must be >= 1, got {max_batch_size}")
-            override["max_batch_size"] = int(max_batch_size)
-        if max_latency is not None:
-            if max_latency < 0:
-                raise ValueError(f"max_latency must be >= 0, got {max_latency}")
-            override["max_latency"] = float(max_latency)
+        max_batch_size, max_latency = checked_limits(max_batch_size,
+                                                     max_latency)
+        override = {name: value for name, value in (
+            ("max_batch_size", max_batch_size), ("max_latency", max_latency))
+            if value is not None}
         with self._lock:
             self._overrides.setdefault(label, {}).update(override)
             for model_key, queue in self._queues.items():
@@ -89,9 +85,8 @@ class ModelRouter:
                     # One atomic swap per queue: the dispatch thread picks the
                     # new pair up at its next batch boundary, never mid-flush
                     # and never as a torn (new size, old deadline) mix.
-                    queue.configure(
-                        max_batch_size=override.get("max_batch_size"),
-                        max_latency=override.get("max_latency"))
+                    queue.configure(max_batch_size=max_batch_size,
+                                    max_latency=max_latency)
 
     def model_limits(self, label: str) -> tuple[int, float]:
         """The effective ``(max_batch_size, max_latency)`` a queue for
@@ -119,29 +114,29 @@ class ModelRouter:
                 label = self._label(model_key)
                 override = self._overrides.get(label, {})
                 queue = MicroBatcher(
-                    self._compute,
+                    functools.partial(self._compute, model_key),
                     max_batch_size=override.get("max_batch_size",
                                                 self.max_batch_size),
                     max_latency=override.get("max_latency", self.max_latency),
                     clock=self._clock, observer=self.metrics,
-                    label=self._label)
+                    label=functools.partial(self._label, model_key))
                 self._queues[model_key] = queue
                 if self._started:
                     queue.start()
             return queue
 
     # ------------------------------------------------------------------ #
-    # the MicroBatcher surface
+    # submission and dispatch
     # ------------------------------------------------------------------ #
     def submit(self, model_key, nodes):
         """Enqueue on the model's own queue; returns the ticket."""
-        return self.queue_for(model_key).submit(model_key, nodes)
+        return self.queue_for(model_key).submit(nodes)
 
     def predict_scores(self, model_key, nodes, timeout: float | None = 30.0):
         """Submit and wait; inline execution when the router is not started
         drains only *this model's* queue (independence even in library use)."""
         queue = self.queue_for(model_key)
-        ticket = queue.submit(model_key, nodes)
+        ticket = queue.submit(nodes)
         if not self._started:
             queue.run_once()
         return ticket.result(timeout)
@@ -160,12 +155,18 @@ class ModelRouter:
         dispatch thread).  Returns True when a queue existed.  The service
         calls this when a session is evicted, so retired model versions do
         not leak a thread per publish; new traffic simply recreates the
-        queue."""
+        queue.  Its counters fold into the aggregate :attr:`stats`, which
+        therefore never goes backwards (it backs Prometheus counters)."""
         with self._lock:
             queue = self._queues.pop(model_key, None)
-        if queue is None:
-            return False
+            if queue is None:
+                return False
+            self._closing.append(queue)
         queue.close()
+        with self._lock:
+            self._closing.remove(queue)
+            with queue._stats_lock:
+                self._retired.merge(queue.stats)
         return True
 
     def start(self) -> "ModelRouter":
@@ -197,13 +198,12 @@ class ModelRouter:
     # ------------------------------------------------------------------ #
     @property
     def stats(self) -> BatchStats:
-        """Aggregate counters merged across every per-model queue."""
-        merged = BatchStats()
+        """Aggregate counters merged across every queue, live or retired."""
         with self._lock:
-            queues = list(self._queues.values())
-        for queue in queues:
-            with queue._stats_lock:
-                merged.merge(queue.stats)
+            merged = BatchStats().merge(self._retired)
+            for queue in (*self._queues.values(), *self._closing):
+                with queue._stats_lock:
+                    merged.merge(queue.stats)
         return merged
 
     def per_model_stats(self) -> dict:

@@ -674,7 +674,12 @@ class InferenceService:
                           **histograms.get(label, {})}
                   for label in set(per_model) | set(histograms)}
         return {
-            "batcher": self.batcher.stats.as_dict(),
+            "batcher": {**self.batcher.stats.as_dict(),
+                        # live queues that have run at least one matmul
+                        "per_model_matmuls": {
+                            label: counters["matmuls"]
+                            for label, counters in per_model.items()
+                            if counters["matmuls"]}},
             "models": models,
             "feature_cache": cache,
             "propagation_cache": self.propagation.info(),

@@ -1,4 +1,4 @@
-"""Tests for the micro-batching request queue."""
+"""Tests for the single-model micro-batching request queue."""
 
 from __future__ import annotations
 
@@ -11,15 +11,15 @@ from repro.serving import MicroBatcher
 
 
 class CountingScorer:
-    """Scores node i as [i, 2i]; counts every (model, batch) execution."""
+    """Scores node i as [i, 2i]; records every batch execution."""
 
     def __init__(self):
-        self.calls: list[tuple[object, np.ndarray]] = []
+        self.calls: list[np.ndarray] = []
         self.lock = threading.Lock()
 
-    def __call__(self, model_key, nodes: np.ndarray) -> np.ndarray:
+    def __call__(self, nodes: np.ndarray) -> np.ndarray:
         with self.lock:
-            self.calls.append((model_key, nodes.copy()))
+            self.calls.append(nodes.copy())
         return np.stack([nodes.astype(float), 2.0 * nodes], axis=1)
 
 
@@ -29,62 +29,45 @@ class TestRunOnce:
     def test_queued_requests_coalesce_into_one_matmul(self):
         scorer = CountingScorer()
         batcher = MicroBatcher(scorer, max_batch_size=64)
-        tickets = [batcher.submit("m", [i]) for i in range(5)]
+        tickets = [batcher.submit([i]) for i in range(5)]
         assert batcher.run_once() == 5
         assert len(scorer.calls) == 1  # one stacked matmul for all five
-        np.testing.assert_array_equal(scorer.calls[0][1], np.arange(5))
+        np.testing.assert_array_equal(scorer.calls[0], np.arange(5))
         for i, ticket in enumerate(tickets):
             np.testing.assert_array_equal(ticket.result(1.0), [[i, 2 * i]])
         assert batcher.stats.batches == 1
         assert batcher.stats.matmuls == 1
         assert batcher.stats.coalesced_requests == 5
-
-    def test_one_matmul_per_model_in_a_mixed_batch(self):
-        scorer = CountingScorer()
-        batcher = MicroBatcher(scorer, max_batch_size=64)
-        t1 = batcher.submit("model-a", [1, 2])
-        t2 = batcher.submit("model-b", [3])
-        t3 = batcher.submit("model-a", [4])
-        batcher.run_once()
-        assert len(scorer.calls) == 2  # one per model, not one per request
-        by_model = {key: nodes for key, nodes in scorer.calls}
-        np.testing.assert_array_equal(by_model["model-a"], [1, 2, 4])
-        np.testing.assert_array_equal(by_model["model-b"], [3])
-        np.testing.assert_array_equal(t1.result(1.0), [[1, 2], [2, 4]])
-        np.testing.assert_array_equal(t2.result(1.0), [[3, 6]])
-        np.testing.assert_array_equal(t3.result(1.0), [[4, 8]])
+        assert batcher.stats.max_batch_rows == 5
 
     def test_multi_node_requests_are_split_back_correctly(self):
         scorer = CountingScorer()
         batcher = MicroBatcher(scorer, max_batch_size=64)
-        t1 = batcher.submit("m", [10, 11, 12])
-        t2 = batcher.submit("m", [20])
-        t3 = batcher.submit("m", [30, 31])
+        t1 = batcher.submit([10, 11, 12])
+        t2 = batcher.submit([20])
+        t3 = batcher.submit([30, 31])
         batcher.run_once()
         np.testing.assert_array_equal(t1.result(1.0)[:, 0], [10, 11, 12])
         np.testing.assert_array_equal(t2.result(1.0)[:, 0], [20])
         np.testing.assert_array_equal(t3.result(1.0)[:, 0], [30, 31])
 
-    def test_scorer_error_propagates_to_every_caller_of_that_model(self):
-        def scorer(model_key, nodes):
-            if model_key == "bad":
-                raise ValueError("poisoned model")
-            return np.zeros((nodes.size, 2))
+    def test_scorer_error_propagates_to_every_caller_in_the_batch(self):
+        def scorer(nodes):
+            raise ValueError("poisoned model")
 
         batcher = MicroBatcher(scorer, max_batch_size=64)
-        good = batcher.submit("good", [1])
-        bad1 = batcher.submit("bad", [2])
-        bad2 = batcher.submit("bad", [3])
+        tickets = [batcher.submit([2]), batcher.submit([3])]
         batcher.run_once()
-        assert good.result(1.0).shape == (1, 2)
-        for ticket in (bad1, bad2):
+        for ticket in tickets:
             with pytest.raises(ValueError, match="poisoned model"):
                 ticket.result(1.0)
+        assert batcher.stats.matmuls == 0
+        assert batcher.depth() == 0
 
     def test_invalid_submissions_rejected(self):
         batcher = MicroBatcher(CountingScorer())
         with pytest.raises(ValueError):
-            batcher.submit("m", [])
+            batcher.submit([])
         with pytest.raises(ValueError):
             MicroBatcher(CountingScorer(), max_batch_size=0)
         with pytest.raises(ValueError):
@@ -95,7 +78,27 @@ class TestRunOnce:
         scorer = CountingScorer()
         batcher = MicroBatcher(scorer)
         np.testing.assert_array_equal(
-            batcher.predict_scores("m", [7]), [[7, 14]])
+            batcher.predict_scores([7]), [[7, 14]])
+
+    def test_observer_reads_the_label_at_observation_time(self):
+        class Observer:
+            def __init__(self):
+                self.seen = []
+
+            def observe_queue_depth(self, label, depth):
+                self.seen.append(("depth", label, depth))
+
+            def observe_batch(self, label, tickets, completed_at, *, failed):
+                self.seen.append(("batch", label, len(tickets)))
+
+        observer, name = Observer(), ["before"]
+        batcher = MicroBatcher(CountingScorer(), observer=observer,
+                               label=lambda: name[0])
+        batcher.submit([1])
+        batcher.submit([2])
+        name[0] = "after"  # e.g. a session label resolved since submit
+        batcher.run_once()
+        assert observer.seen == [("depth", "after", 2), ("batch", "after", 2)]
 
 
 class TestDispatchThread:
@@ -109,7 +112,7 @@ class TestDispatchThread:
 
             def query(i):
                 try:
-                    results[i] = batcher.predict_scores("m", [i], timeout=10.0)
+                    results[i] = batcher.predict_scores([i], timeout=10.0)
                 except Exception as error:  # pragma: no cover - diagnostics
                     errors.append(error)
 
@@ -132,7 +135,7 @@ class TestDispatchThread:
         batcher = MicroBatcher(scorer, max_batch_size=4, max_latency=30.0)
         batcher.start()
         try:
-            tickets = [batcher.submit("m", [i]) for i in range(4)]
+            tickets = [batcher.submit([i]) for i in range(4)]
             # With max_latency=30s, only the size trigger can flush this.
             for ticket in tickets:
                 assert ticket.result(10.0) is not None
@@ -143,6 +146,6 @@ class TestDispatchThread:
         scorer = CountingScorer()
         batcher = MicroBatcher(scorer, max_batch_size=64, max_latency=30.0)
         batcher.start()
-        ticket = batcher.submit("m", [5])
+        ticket = batcher.submit([5])
         batcher.close()
         np.testing.assert_array_equal(ticket.result(1.0), [[5, 10]])

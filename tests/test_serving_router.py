@@ -53,8 +53,10 @@ class TestRouting:
         tickets_b = [router.submit("b", [10 + i]) for i in range(3)]
         assert router.run_once() == 7
         # B was answered by one stacked matmul of its own 3 rows.
-        assert router.stats.per_model_matmuls == {"a": 1, "b": 1}
-        assert router.stats.per_model_max_rows == {"a": 4, "b": 3}
+        per_model = router.per_model_stats()
+        assert {label: (counters["matmuls"], counters["max_batch_rows"])
+                for label, counters in per_model.items()} == {
+            "a": (1, 4), "b": (1, 3)}
         for i, ticket in enumerate(tickets_b):
             np.testing.assert_array_equal(ticket.result(1.0), [[10 + i, 20 + 2 * i]])
 
@@ -169,6 +171,22 @@ class TestRouting:
         np.testing.assert_array_equal(router.predict_scores("old", [6]),
                                       [[6, 12]])
 
+    def test_retire_keeps_aggregate_counters_monotonic(self):
+        """Retiring a queue must not take its counts out of the aggregate
+        (they back Prometheus counters); the per-model view drops it."""
+        router = ModelRouter(CountingScorer())
+        router.predict_scores("a", [1])
+        router.predict_scores("b", [2, 3])
+        before = router.stats
+        assert router.retire("a") is True
+        after = router.stats
+        assert after.as_dict() == before.as_dict()
+        assert (after.requests, after.batches, after.matmuls) == (2, 2, 2)
+        assert set(router.per_model_stats()) == {"b"}
+        # Traffic after the retirement adds on top of the folded counts.
+        router.predict_scores("a", [4])
+        assert router.stats.requests == 3
+
     def test_retire_stops_a_started_queues_thread(self):
         scorer = CountingScorer()
         with ModelRouter(scorer, max_latency=30.0) as router:
@@ -185,41 +203,15 @@ class TestRouting:
 
 
 class TestBatcherSatelliteFixes:
-    """Pin the per-model stats accounting and BaseException handling."""
-
-    def test_mixed_batch_does_not_count_as_coalesced(self):
-        scorer = CountingScorer()
-        batcher = MicroBatcher(scorer, max_batch_size=64)
-        batcher.submit("a", [1])
-        batcher.submit("b", [2])
-        batcher.run_once()
-        # Two tickets shared the flush but not a matmul: nothing coalesced.
-        assert batcher.stats.coalesced_requests == 0
-        assert batcher.stats.per_model_coalesced == {}
-        # And max_batch_rows measures the largest single matmul, not the
-        # mixed flush total.
-        assert batcher.stats.max_batch_rows == 1
-        assert batcher.stats.per_model_max_rows == {"a": 1, "b": 1}
-
-    def test_same_model_tickets_do_count_as_coalesced(self):
-        scorer = CountingScorer()
-        batcher = MicroBatcher(scorer, max_batch_size=64)
-        batcher.submit("a", [1, 2])
-        batcher.submit("a", [3])
-        batcher.submit("b", [4])
-        batcher.run_once()
-        assert batcher.stats.coalesced_requests == 2
-        assert batcher.stats.per_model_coalesced == {"a": 2}
-        assert batcher.stats.max_batch_rows == 3
-        assert batcher.stats.per_model_max_rows == {"a": 3, "b": 1}
+    """Pin the batcher's BaseException handling."""
 
     def test_base_exception_fails_tickets_then_reraises(self):
-        def scorer(model_key, nodes):
+        def scorer(nodes):
             raise KeyboardInterrupt("operator hit ^C")
 
         batcher = MicroBatcher(scorer, max_batch_size=64)
-        first = batcher.submit("a", [1])
-        second = batcher.submit("b", [2])
+        first = batcher.submit([1])
+        second = batcher.submit([2])
         with pytest.raises(KeyboardInterrupt):
             batcher.run_once()
         # No caller is left blocked until timeout: both tickets failed fast.
@@ -229,11 +221,11 @@ class TestBatcherSatelliteFixes:
                 ticket.result(0.1)
 
     def test_plain_exception_still_forwarded_not_raised(self):
-        def scorer(model_key, nodes):
+        def scorer(nodes):
             raise RuntimeError("model exploded")
 
         batcher = MicroBatcher(scorer, max_batch_size=64)
-        ticket = batcher.submit("a", [1])
+        ticket = batcher.submit([1])
         batcher.run_once()  # must NOT raise
         with pytest.raises(RuntimeError, match="model exploded"):
             ticket.result(0.1)

@@ -320,6 +320,52 @@ class TestMultiModelRouting:
         assert np.array_equal(service.predict_scores("alpha", [1]),
                               offline[[1]])
 
+    def test_stats_per_model_matmuls_lists_live_queues_that_ran(
+            self, two_model_service):
+        """``/stats`` ``batcher.per_model_matmuls``: label -> matmuls of each
+        live queue with at least one matmul; retired and idle queues are
+        absent while the aggregate counters keep their counts."""
+        service = two_model_service
+        service.predict_scores("alpha", [0])
+        service.predict_scores("alpha", [1, 2])
+        service.predict_scores("beta", [3])
+        idle_key, _ = service._session("alpha", "public")
+        service.batcher.queue_for(idle_key)  # a queue that never flushed
+        beta_key, _ = service._session("beta", None)
+        service.batcher.retire(beta_key)
+        batcher = service.stats()["batcher"]
+        alpha_key, _ = service._session("alpha", None)
+        assert batcher["per_model_matmuls"] == {service._label_for(alpha_key): 2}
+        assert (batcher["requests"], batcher["matmuls"]) == (3, 3)
+        assert {"per_model_coalesced", "per_model_max_rows"}.isdisjoint(batcher)
+
+    def test_metrics_counters_survive_session_eviction(self, tmp_path, model,
+                                                       other_model, graph):
+        """Evicting a session retires its queue; the declared Prometheus
+        counters on ``/metrics`` must not go backwards when it does."""
+        from repro.obs.prometheus import (
+            parse_prometheus_text,
+            render_server_metrics,
+        )
+
+        registry = ModelRegistry(tmp_path / "reg4")
+        training = {"dataset": "cora_ml", "scale": 0.06, "graph_seed": 0}
+        registry.publish(model, "alpha", inference_mode="private",
+                         training=training)
+        registry.publish(other_model, "beta", inference_mode="private",
+                         training=training)
+        service = InferenceService(registry, graph=graph, max_sessions=1)
+        service.predict_scores("alpha", [0, 1])
+        service.predict_scores("beta", [2])  # evicts alpha, retiring its queue
+        assert service.batcher.queue_count() == 1
+        counters = {name: value for name, labels, value in
+                    parse_prometheus_text(render_server_metrics(service))
+                    if not labels}
+        assert counters["repro_requests_total"] == 2
+        assert counters["repro_rows_requested_total"] == 3
+        assert counters["repro_batches_total"] == 2
+        assert counters["repro_matmuls_total"] == 2
+
     def test_submit_batch_is_the_nonblocking_half(self, two_model_service,
                                                   model, graph):
         ticket, record, mode = two_model_service.submit_batch("alpha", [0, 4])

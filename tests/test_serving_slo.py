@@ -357,7 +357,7 @@ class TestMmapBundles:
 
 class TestReconfigurationUnderLoad:
     def test_concurrent_per_field_configures_never_lose_an_update(self):
-        batcher = MicroBatcher(lambda key, nodes: np.zeros((nodes.size, 2)))
+        batcher = MicroBatcher(lambda nodes: np.zeros((nodes.size, 2)))
         barrier = threading.Barrier(2)
 
         def set_size():
@@ -382,7 +382,7 @@ class TestReconfigurationUnderLoad:
         assert batcher.max_latency == 0.007
 
     def test_configure_validates_and_keeps_old_limits_on_error(self):
-        batcher = MicroBatcher(lambda key, nodes: np.zeros((nodes.size, 2)),
+        batcher = MicroBatcher(lambda nodes: np.zeros((nodes.size, 2)),
                                max_batch_size=16, max_latency=0.004)
         with pytest.raises(ValueError):
             batcher.configure(max_batch_size=0)
@@ -393,7 +393,7 @@ class TestReconfigurationUnderLoad:
     def test_results_stay_correct_while_limits_flap(self):
         """Hammer a live batcher while another thread flips both limits:
         every ticket still gets exactly its own rows back."""
-        def scorer(model_key, nodes):
+        def scorer(nodes):
             return np.stack([nodes.astype(float), 2.0 * nodes], axis=1)
 
         batcher = MicroBatcher(scorer, max_batch_size=8, max_latency=0.0)
@@ -412,7 +412,7 @@ class TestReconfigurationUnderLoad:
         with batcher:
             flapper.start()
             try:
-                tickets = [(i, batcher.submit("m", [i, i + 1]))
+                tickets = [(i, batcher.submit([i, i + 1]))
                            for i in range(300)]
                 for i, ticket in tickets:
                     result = ticket.result(10.0)
