@@ -13,21 +13,32 @@ request.  This frontend multiplexes every connection on **one** event loop
   and parks the connection — the loop keeps serving other sockets while the
   model's own micro-batch queue coalesces and executes the matmul on its
   dispatch thread — then writes the response when the ticket resolves;
+* ``POST /v1/graph/update`` is admitted one at a time and applied on a
+  short-lived worker thread while its connection is parked the same way;
 * connections are bounded (``max_connections``; excess accepts get an
-  immediate 503), idle sockets are reaped, and ``shutdown()`` drains
-  in-flight tickets and buffered writes before returning (graceful drain).
+  immediate 503), idle sockets are reaped after ``IDLE_TIMEOUT``, and
+  ``shutdown()`` drains parked requests and buffered writes for up to
+  ``DRAIN_TIMEOUT`` before returning (graceful drain).
+
+Every parked request — a batch ticket, a fleet proxy, a graph update —
+is one :class:`_Parked` record on its connection, and one completion pass
+ends them all: when the job is done its finish callback answers and any
+pipelined input behind it resumes; once its deadline passes
+(``REQUEST_TIMEOUT``, or ``UPDATE_TIMEOUT`` for a graph update) the client
+gets a 503 and the connection closes.
 
 When the server is part of a fleet (``fleet=`` a
 :class:`~repro.serving.fleet.FleetRouter`), ``POST /v1/predict`` first asks
 the consistent-hash ring who owns the request's model digest.  A request
-for a peer-owned digest is *proxied* — forwarded on a short-lived worker
-thread (the loop parks the connection exactly like a batch ticket and the
-thread pokes the self-pipe when the upstream answers) — or answered with a
-``307`` redirect in redirect mode.  Forwarded requests carry an
-``X-Fleet-Forwarded`` header and are always served locally on arrival, so a
-membership disagreement can never create a proxy loop; if every routed peer
-is unreachable (a dead replica inside its lease-TTL window), the request
-falls back to local execution, which is always correct because served
+for a peer-owned digest is *proxied* — forwarded by :func:`_forward` on a
+short-lived worker thread (the loop parks the connection exactly like a
+batch ticket and the thread pokes the self-pipe when the upstream answers)
+— or answered with a ``307`` redirect in redirect mode.  Forwarded requests
+carry an ``X-Fleet-Forwarded`` header and are always served locally on
+arrival, so a membership disagreement can never create a proxy loop; if
+every routed peer is unreachable or answers with something that is not HTTP
+(a dead replica inside its lease-TTL window), the request falls back to
+local execution, which is always correct because served
 scores are bitwise-pinned to the offline reference on every replica.
 ``GET /fleet`` exposes the membership census, digest routing table and
 forwarding counters.
@@ -44,6 +55,7 @@ The surface mirrors ``socketserver`` so existing callers and tests drop in:
 
 from __future__ import annotations
 
+import functools
 import json
 import selectors
 import socket
@@ -70,117 +82,112 @@ from repro.serving.slo import OverloadedError
 MAX_HEADER_BYTES = 32 * 1024
 MAX_BODY_BYTES = 8 * 1024 * 1024
 RECV_CHUNK = 64 * 1024
+REQUEST_TIMEOUT = 30.0  # a parked predict or fleet proxy answers 503 after
+# Re-propagation is a real computation on large graphs; give a graph update
+# more headroom than a predict.
+UPDATE_TIMEOUT = 60.0
+IDLE_TIMEOUT = 120.0  # idle keep-alive sockets are reaped after this
+DRAIN_TIMEOUT = 5.0  # shutdown() waits at most this for parked work
 
 _WAKER = object()  # selector data marker for the self-pipe read end
 
 
-class _ProxyJob:
-    """One forwarded ``/v1/predict``: targets in failover order, one thread.
+class _Job:
+    """One call run off-loop on a daemon thread.
 
-    Duck-types the parked-ticket contract the event loop already speaks
-    (``done()`` + an ``on_done`` self-pipe hook): the worker thread walks the
-    target list — the ring owner, then at most one backup — relaying the
-    first upstream *response* verbatim (including upstream 4xx/5xx, which
-    are authoritative), skipping peers that are unreachable at the socket
-    level.  ``failed`` means no target answered at all; the loop then falls
+    Speaks the parked-ticket contract the event loop already uses for batch
+    tickets (``done()`` + an ``on_done`` self-pipe hook): the call's return
+    value lands in ``value``, or the ``Exception`` it raised in ``error``,
+    and the hook fires once either way.  Used for fleet proxying (a
+    :func:`_forward` call) and graph updates (re-propagation is a real
+    computation; the loop keeps serving predicts, pinned to the previous
+    epoch, meanwhile).
+    """
+
+    __slots__ = ("value", "error", "on_done", "_event")
+
+    def __init__(self, call, on_done, name: str):
+        self.value = None
+        self.error: Exception | None = None
+        self.on_done = on_done
+        self._event = threading.Event()
+        threading.Thread(target=self._run, args=(call,), name=name,
+                         daemon=True).start()
+
+    def done(self) -> bool:
+        return self._event.is_set()
+
+    def _run(self, call) -> None:
+        try:
+            self.value = call()
+        except Exception as error:  # surfaced by the completion, not lost
+            self.error = error
+        finally:
+            self._event.set()
+            self.on_done()
+
+
+def _forward(targets, path: str, body: bytes, timeout: float,
+             trace_header: str | None):
+    """Forward one ``/v1/predict`` to ``targets`` in failover order.
+
+    The ring owner comes first, then at most one backup.  The first upstream
+    *response* is relayed verbatim, upstream 4xx/5xx included (they are
+    authoritative), as ``(status, body, replica_id)``.  A peer that is
+    unreachable at the socket level or answers with something that is not
+    HTTP is skipped; ``None`` means no target answered and the caller falls
     back to local execution.
     """
+    import http.client
+    import urllib.error
+    import urllib.request
 
-    __slots__ = ("targets", "path", "body", "timeout", "trace_header",
-                 "status", "resp_body", "target_id", "failed", "on_done",
-                 "_event")
-
-    def __init__(self, targets, path: str, body: bytes, timeout: float, *,
-                 trace_header: str | None = None):
-        self.targets = list(targets)
-        self.path = path
-        self.body = body
-        self.timeout = timeout
-        self.trace_header = trace_header  # X-Repro-Trace continuation value
-        self.status: int | None = None
-        self.resp_body = b""
-        self.target_id: str | None = None
-        self.failed = False
-        self.on_done = None
-        self._event = threading.Event()
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def run(self) -> None:
-        import urllib.error
-        import urllib.request
-
-        headers = {"Content-Type": "application/json",
-                   "X-Fleet-Forwarded": "1", "Connection": "close"}
-        if self.trace_header:
-            # Propagate the trace: the owner's root span becomes a child of
-            # this relay's proxy span, so the forwarded predict is one trace.
-            headers[TRACE_HEADER] = self.trace_header
-        for target in self.targets:
-            request = urllib.request.Request(
-                target.base_url + self.path, data=self.body, method="POST",
-                headers=headers)
+    headers = {"Content-Type": "application/json",
+               "X-Fleet-Forwarded": "1", "Connection": "close"}
+    if trace_header:
+        # Propagate the trace: the owner's root span becomes a child of
+        # this relay's proxy span, so the forwarded predict is one trace.
+        headers[TRACE_HEADER] = trace_header
+    for target in targets:
+        request = urllib.request.Request(
+            target.base_url + path, data=body, method="POST", headers=headers)
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                return int(response.status), response.read(), target.replica_id
+        except urllib.error.HTTPError as error:
             try:
-                with urllib.request.urlopen(request,
-                                            timeout=self.timeout) as response:
-                    self.status = int(response.status)
-                    self.resp_body = response.read()
-            except urllib.error.HTTPError as error:
-                self.status = int(error.code)
-                try:
-                    self.resp_body = error.read()
-                except OSError:
-                    self.resp_body = _render_body({"error": str(error)})
-            except (urllib.error.URLError, OSError):
-                continue  # unreachable peer: try the next routed target
-            self.target_id = target.replica_id
-            break
-        if self.status is None:
-            self.failed = True
-        self._event.set()
-        hook = self.on_done
-        if hook is not None:
-            hook()
+                resp_body = error.read()
+            except OSError:
+                resp_body = _render_body({"error": str(error)})
+            return int(error.code), resp_body, target.replica_id
+        except (OSError, http.client.HTTPException):
+            continue  # unreachable or non-HTTP peer: try the next target
+    return None
 
 
-class _UpdateJob:
-    """One admitted ``/v1/graph/update``: apply + re-propagate off-loop.
+class _Parked:
+    """A connection's parked request: the job it waits on and how to end it.
 
-    Same duck-typed parked contract as :class:`_ProxyJob` (``done()`` + an
-    ``on_done`` self-pipe hook).  The service call runs on its own thread
-    because re-propagation is a real computation; the event loop keeps
-    serving predict traffic — pinned to the previous epoch — meanwhile.
-    Updates are admitted one at a time (the server rejects a second with
-    429 while one is in flight), which keeps the epoch sequence linear.
+    ``job`` is a batch ticket or a :class:`_Job`; ``finish(conn, parked)``
+    answers once it is done.  Past ``deadline`` the loop answers 503 with
+    ``timeout_message`` instead, ending ``child`` (a proxy span) as an
+    error.  ``context`` is whatever ``finish`` needs besides the job.
     """
 
-    __slots__ = ("service", "kwargs", "result", "error", "status",
-                 "on_done", "_event")
+    __slots__ = ("job", "finish", "path", "keep_alive", "span", "deadline",
+                 "timeout_message", "child", "context")
 
-    def __init__(self, service: InferenceService, kwargs: dict):
-        self.service = service
-        self.kwargs = kwargs
-        self.result: dict | None = None
-        self.error: str | None = None
-        self.status = 200
-        self.on_done = None
-        self._event = threading.Event()
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def run(self) -> None:
-        try:
-            self.result = self.service.apply_graph_update(**self.kwargs)
-        except (ConfigurationError, GraphDataError) as error:
-            self.status, self.error = 400, str(error)
-        except Exception as error:  # surfaced, not swallowed
-            self.status, self.error = 500, repr(error)
-        self._event.set()
-        hook = self.on_done
-        if hook is not None:
-            hook()
+    def __init__(self, job, finish, path: str, keep_alive: bool, span,
+                 deadline: float, timeout_message: str, child, context):
+        self.job = job
+        self.finish = finish
+        self.path = path
+        self.keep_alive = keep_alive
+        self.span = span
+        self.deadline = deadline
+        self.timeout_message = timeout_message
+        self.child = child
+        self.context = context
 
 
 class _BadRequest(Exception):
@@ -192,7 +199,7 @@ class _BadRequest(Exception):
 
 
 class _Connection:
-    """Per-socket state: buffers, keep-alive flag and the parked ticket."""
+    """Per-socket state: buffers, keep-alive flag and the parked request."""
 
     __slots__ = ("sock", "addr", "inbuf", "outbuf", "close_after_write",
                  "pending", "last_activity")
@@ -203,7 +210,7 @@ class _Connection:
         self.inbuf = bytearray()
         self.outbuf = bytearray()
         self.close_after_write = False
-        self.pending: dict | None = None  # parked /v1/predict ticket + context
+        self.pending: _Parked | None = None  # the request parked off-loop
         self.last_activity = now
 
 
@@ -211,10 +218,8 @@ class SelectorHTTPServer:
     """One event loop, many connections, per-model batch queues underneath."""
 
     def __init__(self, address, service: InferenceService, *,
-                 max_connections: int = 512, request_timeout: float = 30.0,
-                 idle_timeout: float = 120.0, drain_timeout: float = 5.0,
-                 stats_interval: float | None = None, log_stream=None,
-                 fleet=None, tracer: Tracer | None = None):
+                 max_connections: int = 512, stats_interval: float | None = None,
+                 log_stream=None, fleet=None, tracer: Tracer | None = None):
         self.service = service
         self.tracer = tracer  # a repro.obs.trace.Tracer, or None (untraced)
         self.fleet = fleet  # a FleetRouter, or None outside a fleet
@@ -224,9 +229,6 @@ class SelectorHTTPServer:
         self.fleet_stats = {"proxied": 0, "redirected": 0,
                             "failover_local": 0, "received_forwards": 0}
         self.max_connections = int(max_connections)
-        self.request_timeout = float(request_timeout)
-        self.idle_timeout = float(idle_timeout)
-        self.drain_timeout = float(drain_timeout)
         self.stats_interval = stats_interval
         self.log_stream = log_stream
 
@@ -239,8 +241,8 @@ class SelectorHTTPServer:
 
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ, None)
-        # Self-pipe: batcher threads poke the write end when a parked ticket
-        # resolves, so the loop wakes exactly then instead of busy-polling.
+        # Self-pipe: batcher and job threads poke the write end when a parked
+        # request resolves, so the loop wakes exactly then, not by polling.
         self._waker_r, self._waker_w = socket.socketpair()
         self._waker_r.setblocking(False)
         self._waker_w.setblocking(False)
@@ -249,7 +251,7 @@ class SelectorHTTPServer:
         self._parked: set[_Connection] = set()
         # The in-flight /v1/graph/update, if any: updates are admitted one
         # at a time so the serving graph's epoch sequence stays linear.
-        self._graph_update: _UpdateJob | None = None
+        self._graph_update: _Job | None = None
 
         self._shutdown_request = False
         self._is_shut_down = threading.Event()
@@ -396,14 +398,15 @@ class SelectorHTTPServer:
     def _process_input(self, conn: _Connection) -> None:
         """Parse and dispatch as many buffered requests as possible.
 
-        Stops at the first parked predict (responses must stay in request
+        Stops at the first parked request (responses must stay in request
         order on one connection) and while a response is still flushing.
         """
         while conn.pending is None and not conn.close_after_write:
             try:
                 parsed = _parse_request(conn.inbuf)
             except _BadRequest as error:
-                self._respond(conn, error.status, {"error": str(error)},
+                self._respond(conn, error.status,
+                              _render_body({"error": str(error)}),
                               keep_alive=False)
                 return
             if parsed is None:
@@ -441,8 +444,8 @@ class SelectorHTTPServer:
             status, payload = 400, {"error": str(error)}
         except Exception as error:  # surfaced, not swallowed: 500 + message
             status, payload = 500, {"error": repr(error)}
-        self._log_request(conn, method, path, status)
-        self._respond(conn, status, payload, keep_alive=keep_alive)
+        self._reply(conn, None, path, status, payload, keep_alive=keep_alive,
+                    method=method)
 
     def _route_get(self, path: str) -> tuple[int, dict]:
         if path in ("/healthz", "/health"):
@@ -496,13 +499,12 @@ class SelectorHTTPServer:
             body = render_server_metrics(self.service, server=self,
                                          tracer=self.tracer).encode("utf-8")
         except Exception as error:  # surfaced, not swallowed
-            self._log_request(conn, "GET", "/metrics", 500)
-            self._respond(conn, 500, {"error": repr(error)},
-                          keep_alive=keep_alive)
+            self._reply(conn, None, "/metrics", 500, {"error": repr(error)},
+                        keep_alive=keep_alive, method="GET")
             return
-        self._log_request(conn, "GET", "/metrics", 200)
-        self._respond_body(conn, 200, body, keep_alive=keep_alive,
-                           content_type=PROMETHEUS_CONTENT_TYPE)
+        self._reply(conn, None, "/metrics", 200, body=body,
+                    keep_alive=keep_alive, method="GET",
+                    content_type=PROMETHEUS_CONTENT_TYPE)
 
     # ------------------------------------------------------------------ #
     # tracing the predict path
@@ -553,13 +555,6 @@ class SelectorHTTPServer:
         tracer.add_span("render", parent=span, start_ns=render_start_ns,
                         end_ns=render_end_ns)
 
-    def _trace_echo_headers(self, span) -> dict | None:
-        """The response's ``X-Repro-Trace`` echo, so clients (and the CI
-        smoke test) can fetch the trace they just created."""
-        if span is None:
-            return None
-        return {TRACE_HEADER: format_trace_header(span)}
-
     # ------------------------------------------------------------------ #
     # fleet routing (proxy / redirect to the digest's owning replica)
     # ------------------------------------------------------------------ #
@@ -592,14 +587,11 @@ class SelectorHTTPServer:
             target = peers[0]
             location = target.base_url + path
             self.fleet_stats["redirected"] += 1
-            self._log_request(conn, "POST", path, 307)
             if span is not None:
                 span.attrs["redirect"] = target.replica_id
-            self._finish_trace(span, 307)
-            self._respond(conn, 307,
-                          {"redirect": location, "owner": target.replica_id},
-                          keep_alive=keep_alive,
-                          extra_headers={"Location": location})
+            self._reply(conn, span, path, 307,
+                        {"redirect": location, "owner": target.replica_id},
+                        keep_alive=keep_alive, headers={"Location": location})
             return True
         proxy_span = None
         trace_header = None
@@ -608,60 +600,37 @@ class SelectorHTTPServer:
                 "proxy", parent=span,
                 attrs={"targets": [target.replica_id for target in peers]})
             trace_header = format_trace_header(proxy_span)
-        job = _ProxyJob(peers, path, body, self.fleet.proxy_timeout,
-                        trace_header=trace_header)
-        conn.pending = {
-            "proxy": job, "path": path, "body": body, "keep_alive": keep_alive,
-            "deadline": time.monotonic() + self.request_timeout,
-            "span": span, "proxy_span": proxy_span,
-        }
-        self._parked.add(conn)
-        job.on_done = self._wake
+        job = _Job(functools.partial(_forward, peers, path, body,
+                                     self.fleet.proxy_timeout, trace_header),
+                   self._wake, "fleet-proxy")
+        self._park(conn, job, self._finish_proxy, path, keep_alive, span,
+                   REQUEST_TIMEOUT, "fleet proxy timed out",
+                   child=proxy_span, context=body)
         self.fleet_stats["proxied"] += 1
-        threading.Thread(target=job.run, name="fleet-proxy",
-                         daemon=True).start()
         return True
 
-    def _complete_proxy(self, conn: _Connection, entry: dict,
-                        now: float) -> None:
-        job = entry["proxy"]
-        span = entry.get("span")
-        proxy_span = entry.get("proxy_span")
-        if job.done():
-            self._parked.discard(conn)
-            conn.pending = None
-            if job.failed:
-                if proxy_span is not None:
-                    proxy_span.attrs["failover"] = True
-                    self.tracer.end(proxy_span, status="error")
-                # Every routed peer unreachable (dead replica inside its
-                # TTL window): any replica can serve any model bitwise, so
-                # execute locally rather than failing the request.
-                self.fleet_stats["failover_local"] += 1
-                self._submit_predict(conn, entry["body"],
-                                     entry["keep_alive"], span)
-                return
+    def _finish_proxy(self, conn: _Connection, entry: _Parked) -> None:
+        span, proxy_span = entry.span, entry.child
+        answer = entry.job.value
+        if answer is None:
+            if entry.job.error is not None:
+                self._log(f"fleet proxy failed: {entry.job.error!r}")
             if proxy_span is not None:
-                proxy_span.attrs["target"] = job.target_id
-                proxy_span.attrs["http_status"] = int(job.status)
-                self.tracer.end(proxy_span)
-            self._finish_trace(span, job.status)
-            self._log_request(conn, "POST", entry["path"], job.status)
-            self._respond_body(conn, job.status, job.resp_body,
-                               keep_alive=entry["keep_alive"],
-                               extra_headers=self._trace_echo_headers(span))
-            if conn.sock in self._connections:
-                self._process_input(conn)
-        elif now >= entry["deadline"]:
-            self._parked.discard(conn)
-            conn.pending = None
-            if proxy_span is not None:
+                proxy_span.attrs["failover"] = True
                 self.tracer.end(proxy_span, status="error")
-            self._finish_trace(span, 503)
-            self._log_request(conn, "POST", entry["path"], 503)
-            self._respond(conn, 503,
-                          {"error": "fleet proxy timed out"},
-                          keep_alive=False)
+            # Every routed peer unreachable (dead replica inside its TTL
+            # window): any replica can serve any model bitwise, so execute
+            # locally rather than failing the request.
+            self.fleet_stats["failover_local"] += 1
+            self._submit_predict(conn, entry.context, entry.keep_alive, span)
+            return
+        status, body, target_id = answer
+        if proxy_span is not None:
+            proxy_span.attrs["target"] = target_id
+            proxy_span.attrs["http_status"] = status
+            self.tracer.end(proxy_span)
+        self._reply(conn, span, entry.path, status, body=body,
+                    keep_alive=entry.keep_alive, echo=True)
 
     # ------------------------------------------------------------------ #
     # live graph mutation (POST /v1/graph/update)
@@ -670,26 +639,22 @@ class SelectorHTTPServer:
                              body: bytes, keep_alive: bool) -> None:
         """Validate, admit (one update in flight) and park the connection
         while an off-loop thread applies the delta and re-propagates."""
+        path = "/v1/graph/update"
         span = self._start_predict_trace(headers, name="graph_update")
         parse_start = time.monotonic_ns() if span is not None else 0
         try:
-            payload = json.loads(body or b"{}")
-            kwargs = parse_graph_update_payload(payload)
+            kwargs = parse_graph_update_payload(json.loads(body or b"{}"))
         except ConfigurationError as error:
             # ConfigurationError IS a ValueError — catch it first so the
             # caller sees the specific validation message, not the generic
             # malformed-JSON one.
-            self._finish_trace(span, 400)
-            self._log_request(conn, "POST", "/v1/graph/update", 400)
-            self._respond(conn, 400, {"error": str(error)},
-                          keep_alive=keep_alive)
+            self._reply(conn, span, path, 400, {"error": str(error)},
+                        keep_alive=keep_alive)
             return
-        except (ValueError, json.JSONDecodeError):
-            self._finish_trace(span, 400)
-            self._log_request(conn, "POST", "/v1/graph/update", 400)
-            self._respond(conn, 400,
-                          {"error": "request body must be a JSON object"},
-                          keep_alive=keep_alive)
+        except ValueError:
+            self._reply(conn, span, path, 400,
+                        {"error": "request body must be a JSON object"},
+                        keep_alive=keep_alive)
             return
         parse_end = time.monotonic_ns() if span is not None else 0
         active = self._graph_update
@@ -699,85 +664,62 @@ class SelectorHTTPServer:
             # instead of queueing a re-propagation behind the first.
             if span is not None:
                 span.attrs["shed"] = True
-            self._finish_trace(span, 429)
-            self._log_request(conn, "POST", "/v1/graph/update", 429)
-            self._respond(conn, 429,
-                          {"error": "a graph update is already in flight; "
-                                    "retry later"},
-                          keep_alive=keep_alive,
-                          extra_headers={"Retry-After": "1"})
+            self._reply(conn, span, path, 429,
+                        {"error": "a graph update is already in flight; "
+                                  "retry later"},
+                        keep_alive=keep_alive, headers={"Retry-After": "1"})
             return
         if span is not None:
             self.tracer.add_span("parse", parent=span,
                                  start_ns=parse_start, end_ns=parse_end)
-        job = _UpdateJob(self.service, kwargs)
-        self._graph_update = job
-        conn.pending = {
-            "graph_update": job, "keep_alive": keep_alive, "span": span,
-            # Re-propagation is a real computation on large graphs; give
-            # the update more headroom than a predict ticket.
-            "deadline": time.monotonic() + max(self.request_timeout, 60.0),
-        }
-        self._parked.add(conn)
-        job.on_done = self._wake
-        threading.Thread(target=job.run, name="graph-update",
-                         daemon=True).start()
+        # On timeout the connection gives up but the job runs on regardless;
+        # admission keeps further updates out until it finishes.
+        self._graph_update = _Job(
+            functools.partial(self.service.apply_graph_update, **kwargs),
+            self._wake, "graph-update")
+        self._park(conn, self._graph_update, self._finish_graph_update, path,
+                   keep_alive, span, UPDATE_TIMEOUT, "graph update timed out")
 
-    def _complete_graph_update(self, conn: _Connection, entry: dict,
-                               now: float) -> None:
-        job = entry["graph_update"]
-        span = entry.get("span")
-        if job.done():
-            self._parked.discard(conn)
-            conn.pending = None
-            if job.error is not None:
-                status, payload = job.status, {"error": job.error}
-            else:
-                status = 200
-                payload = dict(job.result)
-                timings = payload.pop("timings_ns", {})
-                payload["timings_ms"] = {
-                    stage: round((end - start) / 1e6, 3)
-                    for stage, (start, end) in timings.items()}
-                if span is not None:
-                    span.attrs["epoch"] = payload.get("epoch")
-                    span.attrs["graph"] = payload.get("graph")
-                    for stage in ("apply", "repropagate"):
-                        bounds = timings.get(stage)
-                        if bounds:
-                            self.tracer.add_span(stage, parent=span,
-                                                 start_ns=bounds[0],
-                                                 end_ns=bounds[1])
-            self._finish_trace(span, status)
-            self._log_request(conn, "POST", "/v1/graph/update", status)
-            self._respond(conn, status, payload,
-                          keep_alive=entry["keep_alive"],
-                          extra_headers=self._trace_echo_headers(span))
-            if conn.sock in self._connections:
-                self._process_input(conn)
-        elif now >= entry["deadline"]:
-            # The connection gives up, the job thread finishes regardless —
-            # admission keeps further updates out until it does.
-            self._parked.discard(conn)
-            conn.pending = None
-            self._finish_trace(span, 503)
-            self._log_request(conn, "POST", "/v1/graph/update", 503)
-            self._respond(conn, 503,
-                          {"error": "graph update timed out"},
-                          keep_alive=False)
+    def _finish_graph_update(self, conn: _Connection, entry: _Parked) -> None:
+        job, span = entry.job, entry.span
+        if isinstance(job.error, (ConfigurationError, GraphDataError)):
+            status, payload = 400, {"error": str(job.error)}
+        elif job.error is not None:
+            status, payload = 500, {"error": repr(job.error)}
+        else:
+            status = 200
+            payload = dict(job.value)
+            timings = payload.pop("timings_ns", {})
+            payload["timings_ms"] = {
+                stage: round((end - start) / 1e6, 3)
+                for stage, (start, end) in timings.items()}
+            if span is not None:
+                span.attrs["epoch"] = payload.get("epoch")
+                span.attrs["graph"] = payload.get("graph")
+                for stage in ("apply", "repropagate"):
+                    bounds = timings.get(stage)
+                    if bounds:
+                        self.tracer.add_span(stage, parent=span,
+                                             start_ns=bounds[0],
+                                             end_ns=bounds[1])
+        self._reply(conn, span, entry.path, status, payload,
+                    keep_alive=entry.keep_alive, echo=True)
 
+    # ------------------------------------------------------------------ #
+    # the predict path
+    # ------------------------------------------------------------------ #
     def _submit_predict(self, conn: _Connection, body: bytes,
-                        keep_alive: bool, span=None) -> bool:
-        """Validate and submit; returns True when a ticket was parked."""
+                        keep_alive: bool, span=None) -> None:
+        """Validate and submit, parking the connection on the ticket."""
+        path = "/v1/predict"
         parse_start = time.monotonic_ns() if span is not None else 0
         try:
             payload = json.loads(body or b"{}")
-        except (ValueError, json.JSONDecodeError):
-            self._finish_trace(span, 400)
-            self._log_request(conn, "POST", "/v1/predict", 400)
-            self._respond(conn, 400, {"error": "request body must be a JSON object"},
-                          keep_alive=keep_alive)
-            return False
+        except ValueError:
+            self._reply(conn, span, path, 400,
+                        {"error": "request body must be a JSON object"},
+                        keep_alive=keep_alive)
+            return
         try:
             request = parse_predict_payload(payload)
             parse_end = time.monotonic_ns() if span is not None else 0
@@ -789,25 +731,20 @@ class SelectorHTTPServer:
             # cheap 429 with a drain-time hint instead of a queued matmul.
             if span is not None:
                 span.attrs["shed"] = True
-            self._finish_trace(span, 429)
-            self._log_request(conn, "POST", "/v1/predict", 429)
-            self._respond(conn, 429,
-                          {"error": str(error),
-                           "retry_after_seconds": error.retry_after},
-                          keep_alive=keep_alive,
-                          extra_headers={"Retry-After":
-                                         str(error.retry_after_header)})
-            return False
+            self._reply(conn, span, path, 429,
+                        {"error": str(error),
+                         "retry_after_seconds": error.retry_after},
+                        keep_alive=keep_alive,
+                        headers={"Retry-After": str(error.retry_after_header)})
+            return
         except ConfigurationError as error:
-            self._finish_trace(span, 400)
-            self._log_request(conn, "POST", "/v1/predict", 400)
-            self._respond(conn, 400, {"error": str(error)}, keep_alive=keep_alive)
-            return False
+            self._reply(conn, span, path, 400, {"error": str(error)},
+                        keep_alive=keep_alive)
+            return
         except Exception as error:
-            self._finish_trace(span, 500)
-            self._log_request(conn, "POST", "/v1/predict", 500)
-            self._respond(conn, 500, {"error": repr(error)}, keep_alive=keep_alive)
-            return False
+            self._reply(conn, span, path, 500, {"error": repr(error)},
+                        keep_alive=keep_alive)
+            return
         if span is not None:
             span.attrs["model"] = record.ref
             span.attrs["nodes"] = len(request.nodes)
@@ -818,19 +755,50 @@ class SelectorHTTPServer:
             self.tracer.add_span("admission", parent=span,
                                  start_ns=parse_end,
                                  end_ns=int(ticket.submitted_at * 1e9))
-        conn.pending = {
-            "ticket": ticket, "request": request, "record": record,
-            "mode": mode, "keep_alive": keep_alive, "span": span,
-            "deadline": time.monotonic() + self.request_timeout,
-        }
-        self._parked.add(conn)
+        self._park(conn, ticket, self._finish_predict, path, keep_alive, span,
+                   REQUEST_TIMEOUT,
+                   "inference request timed out waiting for its batch",
+                   context=(request, record, mode))
         ticket.on_done = self._wake
         if ticket.done():  # resolved before the hook landed: wake ourselves
             self._wake()
-        return True
+
+    def _finish_predict(self, conn: _Connection, entry: _Parked) -> None:
+        ticket, span = entry.job, entry.span
+        request, record, mode = entry.context
+        body = payload = None
+        render_start = time.monotonic_ns() if span is not None else 0
+        try:
+            scores = ticket.result(0)
+            # The zero-copy hot path: the response body is rendered straight
+            # out of the ticket's view into the stacked matmul buffer (no
+            # intermediate nested lists, no second json.dumps walk).
+            status = 200
+            body = format_prediction_body(request, scores, record, mode)
+        except ConfigurationError as error:
+            status, payload = 400, {"error": str(error)}
+        except Exception as error:
+            status, payload = 500, {"error": repr(error)}
+        if span is not None:
+            self._add_ticket_spans(span, ticket, render_start,
+                                   time.monotonic_ns())
+        self._reply(conn, span, entry.path, status, payload, body=body,
+                    keep_alive=entry.keep_alive, echo=True)
+
+    # ------------------------------------------------------------------ #
+    # parking: one record per connection, one completion loop
+    # ------------------------------------------------------------------ #
+    def _park(self, conn: _Connection, job, finish, path: str,
+              keep_alive: bool, span, timeout: float, timeout_message: str,
+              *, child=None, context=None) -> None:
+        """Park ``conn`` on ``job`` until it is done or ``timeout`` passes."""
+        conn.pending = _Parked(job, finish, path, keep_alive, span,
+                               time.monotonic() + timeout, timeout_message,
+                               child, context)
+        self._parked.add(conn)
 
     def _wake(self) -> None:
-        """Poke the self-pipe (called from batcher dispatch threads)."""
+        """Poke the self-pipe (called from batcher and job threads)."""
         try:
             self._waker_w.send(b"\x00")
         except (BlockingIOError, InterruptedError, OSError):
@@ -842,70 +810,52 @@ class SelectorHTTPServer:
             if entry is None:  # connection died while parked
                 self._parked.discard(conn)
                 continue
-            if "proxy" in entry:
-                self._complete_proxy(conn, entry, now)
-                continue
-            if "graph_update" in entry:
-                self._complete_graph_update(conn, entry, now)
-                continue
-            ticket = entry["ticket"]
-            span = entry.get("span")
-            if ticket.done():
+            if entry.job.done():
                 self._parked.discard(conn)
                 conn.pending = None
-                body = None
-                render_start = time.monotonic_ns() if span is not None else 0
-                try:
-                    scores = ticket.result(0)
-                    # The zero-copy hot path: the response body is rendered
-                    # straight out of the ticket's view into the stacked
-                    # matmul buffer (no intermediate nested lists, no
-                    # second json.dumps walk).
-                    status = 200
-                    body = format_prediction_body(
-                        entry["request"], scores, entry["record"], entry["mode"])
-                except ConfigurationError as error:
-                    status, payload = 400, {"error": str(error)}
-                except Exception as error:
-                    status, payload = 500, {"error": repr(error)}
-                if span is not None:
-                    self._add_ticket_spans(span, ticket, render_start,
-                                           time.monotonic_ns())
-                    self._finish_trace(span, status)
-                self._log_request(conn, "POST", "/v1/predict", status)
-                if body is not None:
-                    self._respond_body(conn, status, body,
-                                       keep_alive=entry["keep_alive"],
-                                       extra_headers=self._trace_echo_headers(span))
-                else:
-                    self._respond(conn, status, payload,
-                                  keep_alive=entry["keep_alive"],
-                                  extra_headers=self._trace_echo_headers(span))
+                entry.finish(conn, entry)
                 if conn.sock in self._connections:
+                    # Pipelined requests already buffered get no READ event.
                     self._process_input(conn)
-            elif now >= entry["deadline"]:
+            elif now >= entry.deadline:
                 self._parked.discard(conn)
                 conn.pending = None
-                self._finish_trace(span, 503)
-                self._log_request(conn, "POST", "/v1/predict", 503)
-                self._respond(conn, 503,
-                              {"error": "inference request timed out waiting "
-                                        "for its batch"},
-                              keep_alive=False)
+                if entry.child is not None:
+                    self.tracer.end(entry.child, status="error")
+                self._reply(conn, entry.span, entry.path, 503,
+                            {"error": entry.timeout_message},
+                            keep_alive=False)
 
     # ------------------------------------------------------------------ #
     # responses / connection bookkeeping
     # ------------------------------------------------------------------ #
-    def _respond(self, conn: _Connection, status: int, payload: dict, *,
-                 keep_alive: bool, extra_headers: dict | None = None) -> None:
-        self._respond_body(conn, status, _render_body(payload),
-                           keep_alive=keep_alive, extra_headers=extra_headers)
+    def _reply(self, conn: _Connection, span, path: str, status: int,
+               payload: dict | None = None, *, body: bytes | None = None,
+               keep_alive: bool, echo: bool = False,
+               headers: dict | None = None, method: str = "POST",
+               content_type: str = "application/json") -> None:
+        """End the request's trace, log it and queue the response.
 
-    def _respond_body(self, conn: _Connection, status: int, body: bytes, *,
-                      keep_alive: bool, extra_headers: dict | None = None,
-                      content_type: str = "application/json") -> None:
-        """Queue pre-rendered body bytes (the predict hot path hands the
-        fused zero-copy body straight in here)."""
+        ``payload`` is rendered as JSON unless ``body`` bytes are given
+        pre-rendered (the predict hot path's fused zero-copy body, a relayed
+        proxy answer, Prometheus text).  ``echo`` adds the response's
+        ``X-Repro-Trace`` header, so clients (and the CI smoke test) can
+        fetch the trace they just created.
+        """
+        self._finish_trace(span, status)
+        if self.log_stream is not None:
+            self._log(f"{conn.addr[0]} \"{method} {path}\" {status}")
+        if echo and span is not None:
+            headers = {TRACE_HEADER: format_trace_header(span)}
+        if body is None:
+            body = _render_body(payload)
+        self._respond(conn, status, body, keep_alive=keep_alive,
+                      extra_headers=headers, content_type=content_type)
+
+    def _respond(self, conn: _Connection, status: int, body: bytes, *,
+                 keep_alive: bool, extra_headers: dict | None = None,
+                 content_type: str = "application/json") -> None:
+        """Queue rendered body bytes and try to send them right away."""
         if conn.sock not in self._connections:
             return
         if not keep_alive:
@@ -955,7 +905,7 @@ class SelectorHTTPServer:
     def _sweep_idle(self, now: float) -> None:
         for conn in list(self._connections.values()):
             if conn.pending is None and not conn.outbuf \
-                    and now - conn.last_activity > self.idle_timeout:
+                    and now - conn.last_activity > IDLE_TIMEOUT:
                 self._close_connection(conn)
 
     def _drain(self) -> None:
@@ -964,7 +914,7 @@ class SelectorHTTPServer:
             self._selector.unregister(self._listener)
         except (KeyError, ValueError):
             pass
-        deadline = time.monotonic() + self.drain_timeout
+        deadline = time.monotonic() + DRAIN_TIMEOUT
         while (self._parked or any(c.outbuf for c in self._connections.values())) \
                 and time.monotonic() < deadline:
             self._tick(0.005)
@@ -975,10 +925,6 @@ class SelectorHTTPServer:
     def _log(self, message: str) -> None:
         if self.log_stream is not None:
             print(f"[serve] {message}", file=self.log_stream, flush=True)
-
-    def _log_request(self, conn: _Connection, method: str, path: str,
-                     status: int) -> None:
-        self._log(f"{conn.addr[0]} \"{method} {path}\" {status}")
 
 
 # --------------------------------------------------------------------------- #

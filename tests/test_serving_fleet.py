@@ -4,6 +4,7 @@ registry watcher's pre-warm-then-retire hot reload."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 import threading
@@ -282,6 +283,27 @@ def _raw_post(port, path, payload) -> bytes:
             buf += chunk
 
 
+def _read_responses(sock, count) -> list[tuple[int, bytes]]:
+    """Read ``count`` pipelined responses as ``(status, body)`` pairs."""
+    buf, responses = b"", []
+    while len(responses) < count:
+        head_end = buf.find(b"\r\n\r\n")
+        if head_end >= 0:
+            head = buf[:head_end].decode("latin-1").lower()
+            length = int(head.split("content-length:")[1].split()[0])
+            end = head_end + 4 + length
+            if len(buf) >= end:
+                responses.append((int(head.split()[1]),
+                                  buf[head_end + 4:end]))
+                buf = buf[end:]
+                continue
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        buf += chunk
+    return responses
+
+
 class _Replica:
     """One in-process serving replica: service + HTTP loop + fleet lease."""
 
@@ -431,3 +453,60 @@ class TestFleetHTTP:
         assert np.array_equal(np.asarray(body["scores"]), offline)
         assert peer.server.fleet_stats["proxied"] == proxied_before
         assert peer.server.fleet_stats["failover_local"] == 1  # unchanged
+
+    def test_owner_answering_garbage_fails_over_locally(self, fleet, model,
+                                                        graph, monkeypatch):
+        """A peer that answers with something that is not HTTP is skipped
+        like an unreachable one: the client gets a local 200 at once, not
+        a proxy timeout."""
+        _owner, peer = _split_by_ownership(fleet)
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(10.0)
+
+        def answer_garbage():
+            with listener, listener.accept()[0] as sock:
+                buf = b""
+                while b"\r\n\r\n" not in buf:
+                    buf += sock.recv(65536)
+                head, _, body = buf.partition(b"\r\n\r\n")
+                length = int(head.lower().split(b"content-length:")[1]
+                             .split()[0])
+                while len(body) < length:  # read it all: no RST on close
+                    body += sock.recv(65536)
+                sock.sendall(b"garbage not http\r\n")
+
+        threading.Thread(target=answer_garbage, daemon=True).start()
+        owner_record = FleetView(fleet["fleet_dir"]).owner(fleet["digest"])
+        garbage = dataclasses.replace(owner_record,
+                                      port=listener.getsockname()[1])
+        monkeypatch.setattr(peer.server.fleet, "peers_for",
+                            lambda digest: [garbage])
+        nodes = [5, 1]
+        status, body = _post_predict(peer.port,
+                                     {"model": "demo", "nodes": nodes},
+                                     timeout=5.0)
+        assert status == 200
+        offline = model.decision_scores(graph, mode="private")[nodes]
+        assert np.array_equal(np.asarray(body["scores"]), offline)
+        assert peer.server.fleet_stats["failover_local"] == 1
+
+    def test_pipelined_request_after_a_failover_error_is_answered(
+            self, fleet, monkeypatch):
+        """The local failover answers at once (a 400 here); the request
+        already buffered behind it must still be served."""
+        owner, peer = _split_by_ownership(fleet)
+        dead = FleetView(fleet["fleet_dir"]).owner(fleet["digest"])
+        owner.kill()
+        monkeypatch.setattr(peer.server.fleet, "peers_for",
+                            lambda digest: [dead])
+        body = json.dumps({"model": "demo", "nodes": [10**6]}).encode()
+        pipelined = (f"POST /v1/predict HTTP/1.1\r\nHost: x\r\n"
+                     f"Content-Length: {len(body)}\r\n\r\n").encode() \
+            + body + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", peer.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(pipelined)
+            responses = _read_responses(sock, 2)
+        assert [status for status, _ in responses] == [400, 200]
+        assert "node indices" in json.loads(responses[0][1])["error"]
+        assert peer.server.fleet_stats["failover_local"] == 1

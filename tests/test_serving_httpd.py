@@ -1,11 +1,13 @@
 """Tests for the selector-loop HTTP frontend (framing, 400s, keep-alive,
-bounded connections, graceful drain)."""
+bounded connections, graceful drain, parked-request deadlines)."""
 
 from __future__ import annotations
 
 import json
 import socket
 import threading
+import time
+import types
 import urllib.request
 
 import pytest
@@ -20,6 +22,7 @@ from repro.serving import (
     parse_predict_payload,
     serve_http,
 )
+from repro.serving import httpd
 from repro.serving.httpd import _BadRequest, _parse_request
 
 
@@ -265,3 +268,86 @@ class TestConnectionBounds:
             server.server_close()
             service.close()
         assert not thread.is_alive() or thread.join(5.0) is None
+
+
+class _NeverDone:
+    """A batch ticket that never resolves."""
+
+    def __init__(self):
+        self.submitted_at = time.monotonic()
+        self.on_done = None
+
+    def done(self):
+        return False
+
+
+class _StubFleet:
+    """Routes every digest to one peer that is never contacted."""
+
+    replica_id = "self"
+    proxy = True
+    proxy_timeout = 30.0
+
+    def peers_for(self, digest):
+        return [types.SimpleNamespace(replica_id="peer",
+                                      base_url="http://127.0.0.1:9")]
+
+
+def _stall_predict(server, service, monkeypatch, release):
+    submit = service.submit_batch
+
+    def stuck(ref, nodes, mode=None):
+        _ticket, record, mode = submit(ref, nodes, mode)
+        return _NeverDone(), record, mode
+
+    monkeypatch.setattr(service, "submit_batch", stuck)
+
+
+def _stall_proxy(server, service, monkeypatch, release):
+    server.fleet = _StubFleet()
+    monkeypatch.setattr(httpd, "_forward", lambda *args: release.wait(30.0))
+
+
+def _stall_graph_update(server, service, monkeypatch, release):
+    monkeypatch.setattr(service, "apply_graph_update",
+                        lambda **kwargs: release.wait(30.0))
+
+
+class TestParkedDeadlines:
+    @pytest.mark.parametrize("stall,path,payload,message", [
+        (_stall_predict, "/v1/predict", {"model": "demo", "nodes": [0]},
+         "inference request timed out waiting for its batch"),
+        (_stall_proxy, "/v1/predict", {"model": "demo", "nodes": [0]},
+         "fleet proxy timed out"),
+        (_stall_graph_update, "/v1/graph/update", {"sample_insert": 1},
+         "graph update timed out"),
+    ], ids=["predict", "proxy", "graph_update"])
+    def test_past_its_deadline_a_parked_request_is_503_and_closes(
+            self, server, service, monkeypatch, stall, path, payload,
+            message):
+        monkeypatch.setattr(httpd, "REQUEST_TIMEOUT", 0.3)
+        monkeypatch.setattr(httpd, "UPDATE_TIMEOUT", 0.3)
+        release = threading.Event()
+        stall(server, service, monkeypatch, release)
+        body = json.dumps(payload).encode()
+        try:
+            (response,) = _raw(server, (
+                f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n").encode() + body)
+        finally:
+            release.set()
+        assert _status(response) == 503
+        assert _body(response) == {"error": message}
+        assert b"Connection: close\r\n" in response
+        assert not server._parked
+
+        trace_id = server.tracer.store.recent(1)[0]["trace_id"]
+        spans = server.tracer.store.get(trace_id)["spans"]
+        root = spans[0]
+        assert root["attrs"]["http_status"] == 503
+        assert root["status"] == "error"
+        proxy = [span for span in spans if span["name"] == "proxy"]
+        if stall is _stall_proxy:
+            assert [span["status"] for span in proxy] == ["error"]
+        else:
+            assert proxy == []
