@@ -677,6 +677,13 @@ def _run_trace_overhead(settings, registry_root):
             port = server.server_address[1]
             _drive_http_singletons(port, nodes[:8], offline,
                                    expect_trace=traced)  # warm up
+            if collector is not None:
+                # Time requests only while the collector is running: the
+                # singletons can finish inside one scrape interval.
+                ready_by = time.monotonic() + 5.0
+                while (collector.stats()["scrapes"] < 1
+                       and time.monotonic() < ready_by):
+                    time.sleep(0.01)
             latencies[plane] = _drive_http_singletons(
                 port, nodes, offline, expect_trace=traced)
             if plane == "traced":

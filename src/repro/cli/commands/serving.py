@@ -321,10 +321,11 @@ def configure(subparsers) -> None:
     serve.add_argument("--batch-size", type=int, default=64, dest="batch_size",
                        help="flush a model's micro-batch at this many "
                             "queried rows (per-model queues)")
-    serve.add_argument("--max-latency-ms", type=float, default=5.0,
+    serve.add_argument("--max-latency-ms", type=float, default=0.0,
                        dest="max_latency_ms",
-                       help="flush a model's forming micro-batch after this "
-                            "many milliseconds even if not full")
+                       help="extra milliseconds a model's forming "
+                            "micro-batch lingers for more rows; 0 dispatches "
+                            "as soon as the queue is idle")
     serve.add_argument("--max-connections", type=int, default=512,
                        dest="max_connections",
                        help="concurrent connection bound of the selector "

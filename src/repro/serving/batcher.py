@@ -4,9 +4,16 @@ Serving traffic arrives as many small, independent queries ("scores for
 nodes [3, 17]").  Answering each with its own matmul wastes the data plane:
 the per-call overhead (Python dispatch, BLAS setup) dominates the handful of
 fused multiply-adds a single row costs.  The :class:`MicroBatcher` coalesces
-concurrently arriving requests for one model — up to ``max_batch_size``
-queried rows or ``max_latency`` seconds, whichever comes first — and answers
-each batch with **one** stacked ``aggregated @ theta`` matmul.
+requests for one model and answers each batch with **one** stacked
+``aggregated @ theta`` matmul.
+
+Batching is work-conserving: a batch flushes as soon as the queue is idle,
+or at ``max_batch_size`` queried rows, or after an optional ``max_latency``
+linger, whichever comes first.  With the default zero linger a request that
+finds its queue idle runs at once, and the rows that queue up behind an
+in-flight matmul are stacked into the next one — batches form from the
+requests that pile up while the model is busy, never by making a lone
+request wait.
 
 Correctness does not depend on the schedule: selecting rows of the cached
 feature matrix and multiplying the stack is bitwise identical to computing
@@ -152,8 +159,10 @@ class MicroBatcher:
         Flush a forming batch once this many *rows* are queued across its
         requests.
     max_latency:
-        Seconds the dispatch loop waits for more requests after the first
-        one arrives before flushing regardless of size.
+        Extra seconds a forming batch lingers for more rows once the queue
+        is idle, counted from its first request; ``0`` (the default)
+        flushes as soon as the queue is idle.  Requests already queued are
+        always taken, up to ``max_batch_size`` rows.
     observer:
         Optional metrics sink (duck-typed, see
         :class:`repro.serving.metrics.ServingMetrics`): ``observe_queue_depth
@@ -165,7 +174,7 @@ class MicroBatcher:
     """
 
     def __init__(self, compute, *, max_batch_size: int = 64,
-                 max_latency: float = 0.005, clock=time.monotonic,
+                 max_latency: float = 0.0, clock=time.monotonic,
                  observer=None, label=str):
         self._compute = compute
         self._label = label
@@ -278,10 +287,7 @@ class MicroBatcher:
 
     def _loop(self) -> None:
         while not self._stopping.is_set():
-            try:
-                first = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                continue
+            first = self._queue.get()  # close() wakes this with a None
             if first is None:
                 continue
             # One atomic snapshot of both limits per forming batch: a
@@ -291,13 +297,18 @@ class MicroBatcher:
             rows = int(first.nodes.size)
             deadline = self._clock() + max_latency
             while rows < max_batch_size:
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    break
+                # Take what is already queued; block only on an idle queue,
+                # and only while the linger has not passed.
                 try:
-                    ticket = self._queue.get(timeout=remaining)
+                    ticket = self._queue.get_nowait()
                 except queue.Empty:
-                    break
+                    remaining = deadline - self._clock()
+                    if remaining <= 0:
+                        break
+                    try:
+                        ticket = self._queue.get(timeout=remaining)
+                    except queue.Empty:
+                        break
                 if ticket is None:
                     break
                 batch.append(ticket)

@@ -51,7 +51,7 @@ class ModelRouter:
     """
 
     def __init__(self, compute, *, max_batch_size: int = 64,
-                 max_latency: float = 0.005, metrics: ServingMetrics | None = None,
+                 max_latency: float = 0.0, metrics: ServingMetrics | None = None,
                  clock=time.monotonic, label=str):
         self._compute = compute
         self.max_batch_size, self.max_latency = checked_limits(max_batch_size,

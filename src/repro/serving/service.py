@@ -173,7 +173,7 @@ class InferenceService:
 
     def __init__(self, registry: ModelRegistry | str, *, graph=None,
                  graph_loader=None, max_batch_size: int = 64,
-                 max_latency: float = 0.005, max_sessions: int = 8,
+                 max_latency: float = 0.0, max_sessions: int = 8,
                  max_queue_depth: int | None = None,
                  mmap_bundles: bool = True):
         self.registry = (registry if isinstance(registry, ModelRegistry)

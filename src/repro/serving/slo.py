@@ -16,7 +16,10 @@ half of the serving stack:
     configured base — probe for throughput while latency has headroom;
   - **over the target p99**: back off *multiplicatively* (``x backoff`` on
     both the row budget and the deadline) — shed latency fast, the classic
-    TCP-shaped response to congestion.
+    TCP-shaped response to congestion.  A backoff never raises either
+    limit: the floors only stop a shrinking limit, so a zero deadline (the
+    work-conserving default, where a batch flushes as soon as its queue is
+    idle) stays zero under every window.
 
   Reconfiguration is safe under load because the
   :class:`~repro.serving.batcher.MicroBatcher` snapshots both limits
@@ -151,8 +154,9 @@ class SloController:
     min_batch_size / max_batch_size:
         Clamp bounds for the row budget.
     min_latency:
-        Floor for the flush deadline under backoff; the ceiling is the
-        router-wide default the server was started with (the deadline
+        Floor for the flush deadline under backoff (a deadline already
+        under it, such as the default zero, is left alone); the ceiling is
+        the router-wide default the server was started with (the deadline
         recovers additively toward it).
     clock:
         Injectable time source (the tests drive a fake one).
@@ -301,9 +305,11 @@ class SloController:
         size, latency = budget.max_batch_size, budget.max_latency
         if p99 > self.target_p99:
             budget.ticks_over += 1
-            new_size = max(self.min_batch_size,
-                           int(size * self.backoff))
-            new_latency = max(self.min_latency, latency * self.backoff)
+            # The floors stop a shrinking limit; they never raise one.
+            new_size = min(size, max(self.min_batch_size,
+                                     int(size * self.backoff)))
+            new_latency = min(latency,
+                              max(self.min_latency, latency * self.backoff))
             action = "backoff"
         else:
             budget.ticks_under += 1

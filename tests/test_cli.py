@@ -202,7 +202,7 @@ class TestPublishServeCommands:
         args = parser.parse_args(["serve", "--registry", "r", "--model", "m"])
         assert args.port == 8151
         assert args.batch_size == 64
-        assert args.max_latency_ms == 5.0
+        assert args.max_latency_ms == 0.0
 
     def test_help_lists_publish_and_serve(self):
         help_text = build_parser().format_help()

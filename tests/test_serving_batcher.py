@@ -149,3 +149,62 @@ class TestDispatchThread:
         ticket = batcher.submit([5])
         batcher.close()
         np.testing.assert_array_equal(ticket.result(1.0), [[5, 10]])
+
+    def test_already_queued_tickets_flush_together(self):
+        """A zero linger still takes every ticket already queued."""
+        scorer = CountingScorer()
+        batcher = MicroBatcher(scorer, max_batch_size=64, max_latency=0.0)
+        tickets = [batcher.submit([i]) for i in range(8)]
+        batcher.start()
+        try:
+            for i, ticket in enumerate(tickets):
+                np.testing.assert_array_equal(ticket.result(10.0),
+                                              [[i, 2 * i]])
+        finally:
+            batcher.close()
+        assert len(scorer.calls) == 1
+        np.testing.assert_array_equal(scorer.calls[0], np.arange(8))
+        assert batcher.stats.batches == 1
+
+    def test_rows_arriving_during_a_compute_coalesce(self):
+        """A lone request dispatches at once; the rows that queue behind
+        its in-flight matmul are stacked into the next one."""
+        entered, release = threading.Event(), threading.Event()
+        inner = CountingScorer()
+
+        def scorer(nodes):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(10.0)
+            return inner(nodes)
+
+        batcher = MicroBatcher(scorer, max_batch_size=64, max_latency=0.0)
+        batcher.start()
+        try:
+            first = batcher.submit([0])
+            assert entered.wait(10.0)  # dispatched without waiting for more
+            tickets = [batcher.submit([i]) for i in range(1, 6)]
+            assert batcher.depth() == 6  # 1 computing + 5 queued behind it
+            release.set()
+            for i, ticket in enumerate([first] + tickets):
+                np.testing.assert_array_equal(ticket.result(10.0),
+                                              [[i, 2 * i]])
+        finally:
+            release.set()
+            batcher.close()
+        assert [call.tolist() for call in inner.calls] == [[0],
+                                                           [1, 2, 3, 4, 5]]
+        assert batcher.stats.batches == 2
+        assert batcher.stats.coalesced_requests == 5
+
+    def test_max_batch_size_caps_a_greedy_drain(self):
+        scorer = CountingScorer()
+        batcher = MicroBatcher(scorer, max_batch_size=3, max_latency=0.0)
+        tickets = [batcher.submit([i]) for i in range(8)]
+        batcher.start()
+        try:
+            for ticket in tickets:
+                assert ticket.result(10.0) is not None
+        finally:
+            batcher.close()
+        assert [call.size for call in scorer.calls] == [3, 3, 2]

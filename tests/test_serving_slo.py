@@ -142,6 +142,23 @@ class TestAimdController:
         state = ctl.state()["models"]["demo"]
         assert state["grown"] >= 4     # (32 -> 64 in +8 steps)
 
+    def test_a_zero_deadline_stays_zero_through_backoff_and_growth(self):
+        """The floors stop a shrinking limit, they never raise one: with the
+        default zero deadline an over-target window must not lift it to
+        ``min_latency`` (and an under-target one then drop it back)."""
+        router = FakeRouter(max_batch_size=64, max_latency=0.0)
+        metrics = FakeMetrics()
+        ctl = controller(router, metrics=metrics, target_p99=0.050,
+                         min_latency=0.0005)
+        metrics.observe("demo", 0.200, n=100)
+        assert ctl.tick()["demo"]["max_latency"] == 0.0
+        assert router.model_limits("demo") == (32, 0.0)
+        assert all(latency == 0.0 for _, _, latency in router.calls)
+        metrics.observe("demo", 0.001, n=100)
+        assert ctl.tick()["demo"]["action"] == "grow"
+        assert router.model_limits("demo")[1] == 0.0
+        assert all(latency == 0.0 for _, _, latency in router.calls)
+
     def test_growth_respects_the_configured_size_cap(self):
         router = FakeRouter(max_batch_size=64, max_latency=0.004)
         metrics = FakeMetrics()
