@@ -210,9 +210,8 @@ def _contention_phase(plane, alpha_key, beta_key, nodes, offline, *,
 
 class _SharedQueue:
     """The contention gate's reference plane: both models behind ONE
-    single-key :class:`MicroBatcher` — one forming batch, one row budget,
-    one deadline and one dispatch thread, the shared queue the per-model
-    router replaced.
+    single-key :class:`MicroBatcher` — one forming batch, one row cap and
+    one dispatch thread, the shared queue the per-model router replaced.
 
     Each node id carries its model's index in its high bits, so a flush
     still runs one compute per model, in first-arrival order, and every
@@ -221,10 +220,11 @@ class _SharedQueue:
 
     SHIFT = 40
 
-    def __init__(self, compute, model_keys, **limits):
+    def __init__(self, compute, model_keys, *, max_batch_size):
         self._compute = compute
         self._keys = list(model_keys)
-        self._batcher = MicroBatcher(self._compute_flush, **limits)
+        self._batcher = MicroBatcher(self._compute_flush,
+                                     max_batch_size=max_batch_size)
 
     def _compute_flush(self, tagged):
         models = tagged >> self.SHIFT
@@ -254,8 +254,7 @@ class _SharedQueue:
 
 def _run_contention(settings, registry_root):
     registry, graph, models = _publish_two_models(settings, registry_root)
-    service = InferenceService(registry, graph=graph,
-                               max_batch_size=64, max_latency=0.002)
+    service = InferenceService(registry, graph=graph, max_batch_size=64)
     alpha_key, _ = service._session("alpha", None)
     beta_key, _ = service._session("beta", None)
     offline_beta = models["beta"].decision_scores(graph, mode="private")
@@ -288,9 +287,9 @@ def _run_contention(settings, registry_root):
     stats = service.stats()
 
     # Reference data plane: one shared queue, same compute — beta's
-    # tickets share alpha's forming batch, deadline and dispatch.
+    # tickets share alpha's forming batch, row cap and dispatch.
     with _SharedQueue(contended_compute, (alpha_key, beta_key),
-                      max_batch_size=64, max_latency=0.002) as legacy:
+                      max_batch_size=64) as legacy:
         legacy_solo, legacy_contended = _contention_phase(
             legacy, alpha_key, beta_key, nodes, offline_beta,
             spacing=spacing, hammer_nodes=hammer_nodes)
@@ -360,118 +359,80 @@ def test_two_model_contention_no_head_of_line_blocking(benchmark, tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# SLO step load: adaptive batching vs the static PR 5 configuration
+# SLO: sparse singletons on the default (work-conserving) service
 # --------------------------------------------------------------------------- #
-def _run_slo_phase(registry, graph, offline, nodes, *, target_p99,
-                   base_latency, tick_every):
-    """Sparse singleton traffic against a deadline-dominated configuration.
-
-    With one client and a generous row budget, each singleton waits out the
-    model's flush deadline — so the *configured* deadline IS the latency.
-    The static plane keeps the operator's ``base_latency`` and violates the
-    SLO on every query; the adaptive plane lets the AIMD controller tick on
-    a fixed request cadence (deterministic — no controller thread) and
-    collapse the deadline until the windows land under target.  Every reply
-    is still bitwise checked against offline scores.
-    """
-    latencies = {"static": [], "adaptive": []}
-    for plane in ("static", "adaptive"):
-        service = InferenceService(registry, graph=graph,
-                                   max_batch_size=256,
-                                   max_latency=base_latency)
-        controller = SloController(service.batcher, target_p99=target_p99,
-                                   metrics=service.metrics)
-        service.attach_slo(controller)
-        with service.batcher:
-            for index, node in enumerate(nodes):
-                start = time.perf_counter()
-                scores = service.predict_scores("bench", [node], timeout=30.0)
-                latencies[plane].append(time.perf_counter() - start)
-                assert np.array_equal(scores, offline[[node]]), \
-                    f"{plane}: served scores != offline decision_scores"
-                if plane == "adaptive" and (index + 1) % tick_every == 0:
-                    controller.tick()
-        if plane == "adaptive":
-            slo_state = service.stats()["slo"]
-        service.close()
-    return latencies, slo_state
-
-
 def _run_slo_step(settings, registry_root):
+    """Sparse singleton traffic against the default service.
+
+    One client, one singleton at a time: each query finds its queue idle,
+    so the work-conserving loop dispatches it at once and its latency is
+    one matmul plus the hand-off to the dispatch thread.  An SLO controller
+    charges every request against the target; every reply is bitwise
+    checked against offline scores.
+    """
     registry, graph, model = _publish_model(settings, registry_root)
     offline = model.decision_scores(graph, mode="private")
     target_p99 = 0.030
-    base_latency = 0.100        # the static flush deadline: 100ms >> target
     num_queries = 30 if is_smoke() else 72
-    tick_every = 5 if is_smoke() else 6
     rng = np.random.default_rng(settings.seed)
     nodes = rng.integers(0, graph.num_nodes, size=num_queries).tolist()
-    latencies, slo_state = _run_slo_phase(
-        registry, graph, offline, nodes, target_p99=target_p99,
-        base_latency=base_latency, tick_every=tick_every)
+    service = InferenceService(registry, graph=graph)
+    service.prewarm("bench@latest")  # time queries, not the session build
+    controller = SloController(service.metrics, target_p99=target_p99)
+    service.attach_slo(controller)
+    latencies = []
+    with service.batcher:
+        for node in nodes:
+            start = time.perf_counter()
+            scores = service.predict_scores("bench", [node], timeout=30.0)
+            latencies.append(time.perf_counter() - start)
+            assert np.array_equal(scores, offline[[node]]), \
+                "served scores != offline decision_scores"
+    controller.tick()
+    slo_state = service.stats()["slo"]
+    service.close()
     return {
         "target_p99": target_p99,
-        "base_latency": base_latency,
         "num_queries": num_queries,
-        "warmup": 2 * tick_every,   # before the controller's first backoffs
         "latencies": latencies,
         "slo": slo_state,
     }
 
 
-def test_slo_adaptive_batching_holds_p99_where_static_violates(benchmark,
-                                                               tmp_path):
+def test_slo_default_batching_holds_p99_on_singletons(benchmark, tmp_path):
     settings = bench_settings(datasets=("cora_ml",))
     outcome = benchmark.pedantic(_run_slo_step,
                                  args=(settings, tmp_path / "registry"),
                                  rounds=1, iterations=1)
 
     target = outcome["target_p99"]
-    warmup = outcome["warmup"]
-    static = outcome["latencies"]["static"]
-    adaptive = outcome["latencies"]["adaptive"][warmup:]  # steady state
-
-    def goodput(latencies):
-        """Queries answered within the SLO, per second of wall time."""
-        return sum(1 for value in latencies if value <= target) / sum(latencies)
-
-    rows = []
-    for name, values in (("static (PR 5 config)", static),
-                         (f"adaptive (after {warmup}-query warmup)", adaptive)):
-        rows.append([name,
-                     f"{np.percentile(values, 50) * 1e3:.1f}",
-                     f"{np.percentile(values, 99) * 1e3:.1f}",
-                     f"{len(values) / sum(values):,.1f}",
-                     f"{goodput(values):,.1f}"])
+    latencies = outcome["latencies"]
+    p99 = float(np.percentile(latencies, 99))
+    goodput = sum(1 for value in latencies if value <= target)
     record("serving_slo_step",
            render_table(
                ["configuration", "p50 ms", "p99 ms", "queries/s",
                 f"goodput/s (<= {target * 1e3:.0f}ms)"],
-               rows,
-               title=f"SLO step load: {outcome['num_queries']} singleton "
-                     f"queries, {outcome['base_latency'] * 1e3:.0f}ms static "
-                     f"deadline, {target * 1e3:.0f}ms p99 target"))
+               [["default (work-conserving, no linger)",
+                 f"{np.percentile(latencies, 50) * 1e3:.1f}",
+                 f"{p99 * 1e3:.1f}",
+                 f"{len(latencies) / sum(latencies):,.1f}",
+                 f"{goodput / sum(latencies):,.1f}"]],
+               title=f"SLO: {outcome['num_queries']} singleton queries, "
+                     f"{target * 1e3:.0f}ms p99 target"))
 
-    static_p99 = float(np.percentile(static, 99))
-    adaptive_p99 = float(np.percentile(adaptive, 99))
-    # The static plane pins every query at its 100ms flush deadline — far
-    # over the target on each one; zero of them count as goodput.
-    assert static_p99 >= 2.5 * target, (
-        f"static plane should violate the SLO, got {static_p99 * 1e3:.1f}ms")
-    assert goodput(static) == 0.0
-    # The adaptive plane backs its deadline off until windows meet the
-    # target; AIMD keeps probing upward, so steady state oscillates just
-    # around the target rather than far above it.
-    assert adaptive_p99 <= 0.6 * static_p99, (
-        f"adaptive p99 {adaptive_p99 * 1e3:.1f}ms did not improve on static "
-        f"{static_p99 * 1e3:.1f}ms")
-    assert goodput(adaptive) > 0.0, "no adaptive query ever met the SLO"
-    # The controller's own audit trail agrees: it intervened, and a healthy
-    # share of its observation windows met the target.
+    # A lone singleton never waits for company, so the target holds at
+    # p99 and every single query counts as goodput.
+    assert p99 <= target, (
+        f"p99 {p99 * 1e3:.1f}ms over the {target * 1e3:.0f}ms target")
+    assert goodput == outcome["num_queries"], (
+        f"{outcome['num_queries'] - goodput} queries over the target: "
+        f"max {max(latencies) * 1e3:.1f}ms")
+    # The controller's error budget agrees: nothing was spent.
     (label, budget), = outcome["slo"]["models"].items()
-    assert budget["backed_off"] >= 1, budget
-    assert budget["windows_under_slo"] >= 1, budget
-    assert budget["max_latency_seconds"] < outcome["base_latency"], budget
+    assert budget["good_requests"] == outcome["num_queries"], budget
+    assert budget["bad_requests"] == 0, budget
+    assert budget["error_budget_remaining"] == 1.0, budget
 
 
 # --------------------------------------------------------------------------- #
@@ -484,7 +445,6 @@ def _run_overload(settings, registry_root):
     burst = 48 if is_smoke() else 96
     flush_delay = 0.005
     service = InferenceService(registry, graph=graph, max_batch_size=4,
-                               max_latency=0.0,
                                max_queue_depth=max_queue_depth)
     # Inflate the per-flush cost (sleep releases the GIL) so a back-to-back
     # burst outruns the drain rate; the real matmul still runs, so every

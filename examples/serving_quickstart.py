@@ -75,7 +75,7 @@ def main() -> None:
         print("  integrity verified (stored archive hashes to the manifest digest)")
 
         # 3. Serve over HTTP (ephemeral port) and fire concurrent queries.
-        service = InferenceService(registry, graph=graph, max_latency=0.01)
+        service = InferenceService(registry, graph=graph)
         server = serve_http(service, port=0)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         port = server.server_address[1]

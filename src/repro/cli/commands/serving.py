@@ -155,7 +155,6 @@ def command_serve(args) -> int:
     max_queue_depth = args.max_queue_depth if args.max_queue_depth > 0 else None
     service = InferenceService(
         args.registry, max_batch_size=args.batch_size,
-        max_latency=args.max_latency_ms / 1000.0,
         max_queue_depth=max_queue_depth,
         mmap_bundles=not args.no_mmap)
     records = []
@@ -172,8 +171,8 @@ def command_serve(args) -> int:
         print(f"serve failed: {error}", file=sys.stderr)
         return 2
     controller = None
-    if args.slo_p99_ms > 0 and not args.static_batching:
-        controller = SloController(service.batcher,
+    if args.slo_p99_ms > 0:
+        controller = SloController(service.metrics,
                                    target_p99=args.slo_p99_ms / 1000.0)
         service.attach_slo(controller)
         controller.start()
@@ -251,7 +250,7 @@ def command_serve(args) -> int:
     served = ", ".join(f"{record.ref} (mode={record.inference_mode})"
                        for record in records)
     slo_note = (f"slo p99<={args.slo_p99_ms:g}ms" if controller is not None
-                else "static batching")
+                else "no slo accounting")
     depth_note = (f"queue<={max_queue_depth}" if max_queue_depth is not None
                   else "no admission cap")
     fleet_note = (f", fleet {member.replica_id} in {args.fleet_dir} "
@@ -261,7 +260,7 @@ def command_serve(args) -> int:
                       f"{len(rules)} alert rule(s))"
                       if collector is not None else "")
     print(f"serving {served} on http://{host}:{port} "
-          f"(batch<={args.batch_size}, latency<={args.max_latency_ms:g}ms, "
+          f"(batch<={args.batch_size}, "
           f"connections<={args.max_connections}, {slo_note}, {depth_note})"
           f"{fleet_note}{telemetry_note}",
           file=sys.stderr, flush=True)
@@ -319,13 +318,9 @@ def configure(subparsers) -> None:
     serve.add_argument("--port", type=int, default=8151,
                        help="TCP port (0 binds an ephemeral port)")
     serve.add_argument("--batch-size", type=int, default=64, dest="batch_size",
-                       help="flush a model's micro-batch at this many "
-                            "queried rows (per-model queues)")
-    serve.add_argument("--max-latency-ms", type=float, default=0.0,
-                       dest="max_latency_ms",
-                       help="extra milliseconds a model's forming "
-                            "micro-batch lingers for more rows; 0 dispatches "
-                            "as soon as the queue is idle")
+                       help="most queried rows one micro-batch stacks "
+                            "(per-model queues; a batch never waits for "
+                            "more)")
     serve.add_argument("--max-connections", type=int, default=512,
                        dest="max_connections",
                        help="concurrent connection bound of the selector "
@@ -336,13 +331,9 @@ def configure(subparsers) -> None:
                             "(n/p50/p95/p99) to stderr every SECONDS")
     serve.add_argument("--slo-p99-ms", type=float, default=50.0,
                        dest="slo_p99_ms", metavar="MS",
-                       help="target request p99 in milliseconds; an AIMD "
-                            "controller tunes each model's batch budgets to "
-                            "hold it (0 disables, like --static-batching)")
-    serve.add_argument("--static-batching", action="store_true",
-                       dest="static_batching",
-                       help="disable the SLO controller and keep the "
-                            "--batch-size/--max-latency-ms limits fixed")
+                       help="target request p99 in milliseconds; each "
+                            "model's requests are charged against this "
+                            "SLO's error budget (0 disables the accounting)")
     serve.add_argument("--max-queue-depth", type=int, default=512,
                        dest="max_queue_depth", metavar="N",
                        help="shed load with HTTP 429 + Retry-After once a "

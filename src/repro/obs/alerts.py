@@ -1,8 +1,8 @@
 """Declarative alerting over the telemetry store: burn rates, holds, state.
 
 The rule engine closes the observe→detect half of the loop the
-:class:`~repro.serving.slo.SloController` opened: the controller *tunes* for
-a target p99 and accounts every request against the SLO error budget
+:class:`~repro.serving.slo.SloController` opened: the controller accounts
+every request against the error budget of a target p99
 (``repro_slo_good_requests_total`` / ``repro_slo_bad_requests_total``);
 this module *watches* those counters — retained by
 :class:`~repro.obs.tsdb.TelemetryStore` — and decides when a human should

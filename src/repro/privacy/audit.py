@@ -12,9 +12,9 @@ mechanism must satisfy ``TPR <= e^ε FPR + δ``, hence
 The auditor below runs a mechanism many times on a fixed pair of neighbouring
 inputs, applies a threshold distinguisher to a scalar score of the output and
 converts the observed rates — deflated by Clopper-Pearson confidence
-intervals — into an empirical ε lower bound.  It is used by the test suite to
-sanity check the Laplace mechanism and (at a handful of trials) the GCON
-release, and by ``examples/privacy_audit.py``.
+intervals — into an empirical ε lower bound.  The test suite uses it to
+sanity check the Laplace mechanism; ``examples/privacy_audit.py`` runs it
+(at a handful of trials) against the GCON release.
 """
 
 from __future__ import annotations

@@ -6,11 +6,12 @@ budget is spent answering queries — so serving is an ordinary data plane:
 * :mod:`repro.serving.registry` — a content-addressed, filesystem-backed
   model registry (`publish` / `resolve` / `verify`), turning sweep artefacts
   or live :class:`~repro.core.model.GCON` instances into versioned bundles;
-* :mod:`repro.serving.batcher` — a micro-batching request queue that
-  coalesces concurrent queries into one stacked matmul;
+* :mod:`repro.serving.batcher` — a work-conserving micro-batching request
+  queue that stacks the queries waiting behind an in-flight matmul into the
+  next one, up to a fixed row cap;
 * :mod:`repro.serving.router` — one batch queue **per model version** (own
-  row budget, own deadline, own dispatch thread), so mixed traffic never
-  head-of-line blocks across models;
+  forming batch, own dispatch thread), so mixed traffic never head-of-line
+  blocks across models;
 * :mod:`repro.serving.metrics` — per-model latency histograms
   (fixed log-spaced buckets, p50/p95/p99), batch-size and queue-depth
   distributions — the ``/stats`` payload;
@@ -19,9 +20,8 @@ budget is spent answering queries — so serving is an ordinary data plane:
 * :mod:`repro.serving.httpd` — a single-threaded ``selectors``-based HTTP
   frontend (keep-alive, bounded connections, graceful drain) that parks
   connections on batch tickets instead of blocking a thread per request;
-* :mod:`repro.serving.slo` — the feedback half: an AIMD
-  :class:`SloController` that tunes each model's batch budgets to hold a
-  target p99 against the live histograms, and the
+* :mod:`repro.serving.slo` — the :class:`SloController` that charges each
+  model's latency windows against a target-p99 error budget, and the
   :class:`OverloadedError` admission-control signal (queue-depth load
   shedding → HTTP 429 with ``Retry-After``);
 * :mod:`repro.serving.hashring` + :mod:`repro.serving.fleet` — the

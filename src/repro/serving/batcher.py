@@ -7,13 +7,12 @@ fused multiply-adds a single row costs.  The :class:`MicroBatcher` coalesces
 requests for one model and answers each batch with **one** stacked
 ``aggregated @ theta`` matmul.
 
-Batching is work-conserving: a batch flushes as soon as the queue is idle,
-or at ``max_batch_size`` queried rows, or after an optional ``max_latency``
-linger, whichever comes first.  With the default zero linger a request that
-finds its queue idle runs at once, and the rows that queue up behind an
-in-flight matmul are stacked into the next one — batches form from the
-requests that pile up while the model is busy, never by making a lone
-request wait.
+Batching is work-conserving: a batch takes its first request and then
+whatever is already queued behind it, and flushes as soon as the queue is
+empty or ``max_batch_size`` queried rows are stacked.  A request that finds
+its queue idle runs at once, and the rows that queue up behind an in-flight
+matmul are stacked into the next one — batches form from the requests that
+pile up while the model is busy, never by making a lone request wait.
 
 Correctness does not depend on the schedule: selecting rows of the cached
 feature matrix and multiplying the stack is bitwise identical to computing
@@ -41,22 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def checked_limits(max_batch_size: int | None,
-                   max_latency: float | None) -> tuple[int | None, float | None]:
-    """Validate and normalise a pair of batch limits; ``None`` passes through.
-
-    The one range check every layer that accepts limits (batcher, router
-    defaults, per-model overrides) goes through.
-    """
-    if max_batch_size is not None:
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        max_batch_size = int(max_batch_size)
-    if max_latency is not None:
-        if max_latency < 0:
-            raise ValueError(f"max_latency must be >= 0, got {max_latency}")
-        max_latency = float(max_latency)
-    return max_batch_size, max_latency
+def checked_batch_size(max_batch_size: int) -> int:
+    """Validate and normalise a row cap: the one range check the batcher
+    and the router's default both go through."""
+    if max_batch_size < 1:
+        raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
+    return int(max_batch_size)
 
 
 @dataclass
@@ -156,13 +145,8 @@ class MicroBatcher:
         stacked rows.  Must be thread-safe; it runs on the dispatch thread,
         never on callers.
     max_batch_size:
-        Flush a forming batch once this many *rows* are queued across its
-        requests.
-    max_latency:
-        Extra seconds a forming batch lingers for more rows once the queue
-        is idle, counted from its first request; ``0`` (the default)
-        flushes as soon as the queue is idle.  Requests already queued are
-        always taken, up to ``max_batch_size`` rows.
+        Stop stacking queued requests into a batch once it holds this many
+        *rows* (a single larger request still runs whole).
     observer:
         Optional metrics sink (duck-typed, see
         :class:`repro.serving.metrics.ServingMetrics`): ``observe_queue_depth
@@ -174,17 +158,10 @@ class MicroBatcher:
     """
 
     def __init__(self, compute, *, max_batch_size: int = 64,
-                 max_latency: float = 0.0, clock=time.monotonic,
-                 observer=None, label=str):
+                 clock=time.monotonic, observer=None, label=str):
         self._compute = compute
         self._label = label
-        # Both batch limits live in ONE tuple that is swapped atomically and
-        # snapshotted once per forming batch, so a runtime reconfiguration
-        # (the SLO controller tunes limits while the dispatch thread is
-        # mid-flush) takes effect exactly at a batch boundary and the loop
-        # can never observe a torn (new size, old deadline) mix.
-        self._limits = checked_limits(max_batch_size, max_latency)
-        self._limits_lock = threading.Lock()
+        self.max_batch_size = checked_batch_size(max_batch_size)
         self._clock = clock
         self._observer = observer
         self._queue: queue.Queue[_Ticket | None] = queue.Queue()
@@ -193,33 +170,6 @@ class MicroBatcher:
         self._inflight = 0  # submitted, not yet resolved/failed (queue depth)
         self.stats = BatchStats()
         self._stats_lock = threading.Lock()
-
-    # ------------------------------------------------------------------ #
-    # batch limits (atomically reconfigurable at batch boundaries)
-    # ------------------------------------------------------------------ #
-    def configure(self, *, max_batch_size: int | None = None,
-                  max_latency: float | None = None) -> tuple[int, float]:
-        """Swap the batch limits atomically; returns the new pair.
-
-        The dispatch loop snapshots both limits together when a batch starts
-        forming, so the new configuration applies from the next batch on —
-        never to the one mid-flush, and never as a half-old half-new mix.
-        """
-        with self._limits_lock:
-            size, latency = self._limits
-            limits = checked_limits(
-                size if max_batch_size is None else max_batch_size,
-                latency if max_latency is None else max_latency)
-            self._limits = limits
-        return limits
-
-    @property
-    def max_batch_size(self) -> int:
-        return self._limits[0]
-
-    @property
-    def max_latency(self) -> float:
-        return self._limits[1]
 
     # ------------------------------------------------------------------ #
     # submission
@@ -290,25 +240,14 @@ class MicroBatcher:
             first = self._queue.get()  # close() wakes this with a None
             if first is None:
                 continue
-            # One atomic snapshot of both limits per forming batch: a
-            # concurrent configure() applies cleanly from the next batch.
-            max_batch_size, max_latency = self._limits
             batch = [first]
             rows = int(first.nodes.size)
-            deadline = self._clock() + max_latency
-            while rows < max_batch_size:
-                # Take what is already queued; block only on an idle queue,
-                # and only while the linger has not passed.
+            while rows < self.max_batch_size:
+                # Take only what is already queued: never wait for more.
                 try:
                     ticket = self._queue.get_nowait()
                 except queue.Empty:
-                    remaining = deadline - self._clock()
-                    if remaining <= 0:
-                        break
-                    try:
-                        ticket = self._queue.get(timeout=remaining)
-                    except queue.Empty:
-                        break
+                    break
                 if ticket is None:
                     break
                 batch.append(ticket)

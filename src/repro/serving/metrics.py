@@ -39,12 +39,13 @@ def bucket_quantile(bounds, counts, q: float, *,
                     overflow_value: float | None = None) -> float:
     """Interpolated ``q``-quantile of a raw bucket-count vector.
 
-    The standalone sibling of :meth:`Histogram.quantile`, usable on a
-    *difference* of two counts snapshots — which is how the SLO controller
-    reads a windowed p99 (latency shape since its last tick) out of
-    histograms that only ever accumulate.  ``overflow_value`` is reported
-    when the target rank lands in the overflow bucket (callers pass the
-    histogram's observed max); returns 0.0 when the window is empty.
+    The standalone sibling of :meth:`Histogram.quantile`, usable on counts
+    that no live histogram owns — a fleet-merged histogram or a
+    *difference* of two snapshots (a window out of histograms that only
+    ever accumulate), as the telemetry store reads them.
+    ``overflow_value`` is reported when the target rank lands in the
+    overflow bucket (callers pass the histogram's observed max); returns
+    0.0 when the window is empty.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
@@ -304,17 +305,15 @@ class ServingMetrics:
 
     # -- reading -------------------------------------------------------- #
     def latency_snapshot(self) -> dict:
-        """Per model: ``(latency bucket counts, observed max, total count)``
-        at this instant, copied under the lock.
+        """Per model: the latency bucket counts at this instant, copied
+        under the lock.
 
-        Two snapshots subtract into a *window*: the controller keeps the
-        previous one and feeds the count difference to
-        :func:`bucket_quantile` for an interval p99, so one overloaded
-        minute an hour ago can never dominate the current control decision.
+        Two snapshots subtract into a *window*: the SLO controller keeps the
+        previous one and charges only the count difference against the
+        error budget, so each request is judged exactly once.
         """
         with self._lock:
-            return {label: (tuple(metrics.latency.counts),
-                            metrics.latency.max, metrics.latency.count)
+            return {label: tuple(metrics.latency.counts)
                     for label, metrics in self._models.items()}
 
     def export(self) -> dict:

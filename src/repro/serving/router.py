@@ -1,14 +1,13 @@
 """Per-model routing of inference traffic: one micro-batch queue per model.
 
 A single shared forming batch is wrong under mixed traffic: rows from every
-model count toward one ``max_batch_size`` and share one ``max_latency``
-deadline, so a cheap model's tickets queue behind an expensive model's flush
-and matmul — head-of-line blocking.  The :class:`ModelRouter` kills that bug
-by construction: each resolved model key gets its **own**
-:class:`~repro.serving.batcher.MicroBatcher` (own forming batch, own row
-budget, own deadline, own dispatch thread), created lazily on first traffic.
-Batch sizing can be tuned per model with :meth:`configure_model`; everything
-else inherits the router-wide defaults.
+model count toward one ``max_batch_size`` and share one dispatch thread, so
+a cheap model's tickets queue behind an expensive model's flush and matmul —
+head-of-line blocking.  The :class:`ModelRouter` kills that bug by
+construction: each resolved model key gets its **own**
+:class:`~repro.serving.batcher.MicroBatcher` (own forming batch, own
+dispatch thread), created lazily on first traffic.  Every queue stacks at
+most the router's one fixed ``max_batch_size`` rows per matmul.
 
 The router is the only layer that knows about model keys: each queue is a
 single-model :class:`~repro.serving.batcher.MicroBatcher` whose ``compute``
@@ -28,7 +27,7 @@ import functools
 import threading
 import time
 
-from repro.serving.batcher import BatchStats, MicroBatcher, checked_limits
+from repro.serving.batcher import BatchStats, MicroBatcher, checked_batch_size
 from repro.serving.metrics import ServingMetrics
 
 
@@ -40,8 +39,8 @@ class ModelRouter:
     compute:
         ``(model_key, node_indices) -> scores``; each queue calls it with
         its own key bound.
-    max_batch_size / max_latency:
-        Router-wide defaults for newly created per-model queues.
+    max_batch_size:
+        The row cap of every per-model queue.
     metrics:
         A :class:`ServingMetrics` to observe into (one is created when
         omitted); wired into every queue as its observer.
@@ -51,52 +50,22 @@ class ModelRouter:
     """
 
     def __init__(self, compute, *, max_batch_size: int = 64,
-                 max_latency: float = 0.0, metrics: ServingMetrics | None = None,
+                 metrics: ServingMetrics | None = None,
                  clock=time.monotonic, label=str):
         self._compute = compute
-        self.max_batch_size, self.max_latency = checked_limits(max_batch_size,
-                                                               max_latency)
+        self.max_batch_size = checked_batch_size(max_batch_size)
         self.metrics = metrics if metrics is not None else ServingMetrics()
         self._clock = clock
         self._label = label
         self._queues: dict = {}
         self._closing: list[MicroBatcher] = []  # retired, still flushing
         self._retired = BatchStats()  # counters of every queue retired so far
-        self._overrides: dict[str, dict] = {}
         self._lock = threading.Lock()
         self._started = False
 
     # ------------------------------------------------------------------ #
-    # per-model configuration
+    # per-model queues
     # ------------------------------------------------------------------ #
-    def configure_model(self, label: str, *, max_batch_size: int | None = None,
-                        max_latency: float | None = None) -> None:
-        """Override batch limits for one model label (affects its queue even
-        if already created; applies to future flushes, not the forming one)."""
-        max_batch_size, max_latency = checked_limits(max_batch_size,
-                                                     max_latency)
-        override = {name: value for name, value in (
-            ("max_batch_size", max_batch_size), ("max_latency", max_latency))
-            if value is not None}
-        with self._lock:
-            self._overrides.setdefault(label, {}).update(override)
-            for model_key, queue in self._queues.items():
-                if self._label(model_key) == label:
-                    # One atomic swap per queue: the dispatch thread picks the
-                    # new pair up at its next batch boundary, never mid-flush
-                    # and never as a torn (new size, old deadline) mix.
-                    queue.configure(max_batch_size=max_batch_size,
-                                    max_latency=max_latency)
-
-    def model_limits(self, label: str) -> tuple[int, float]:
-        """The effective ``(max_batch_size, max_latency)`` a queue for
-        ``label`` runs (or would be created) with — what the SLO controller
-        reads before deciding its next adjustment."""
-        with self._lock:
-            override = self._overrides.get(label, {})
-            return (override.get("max_batch_size", self.max_batch_size),
-                    override.get("max_latency", self.max_latency))
-
     def depth(self, model_key) -> int:
         """In-flight tickets on one model's queue (0 when it has no queue):
         the signal admission control sheds on, read without creating a
@@ -111,13 +80,9 @@ class ModelRouter:
         with self._lock:
             queue = self._queues.get(model_key)
             if queue is None:
-                label = self._label(model_key)
-                override = self._overrides.get(label, {})
                 queue = MicroBatcher(
                     functools.partial(self._compute, model_key),
-                    max_batch_size=override.get("max_batch_size",
-                                                self.max_batch_size),
-                    max_latency=override.get("max_latency", self.max_latency),
+                    max_batch_size=self.max_batch_size,
                     clock=self._clock, observer=self.metrics,
                     label=functools.partial(self._label, model_key))
                 self._queues[model_key] = queue
@@ -207,7 +172,7 @@ class ModelRouter:
         return merged
 
     def per_model_stats(self) -> dict:
-        """Label -> that queue's counters plus its effective batch limits."""
+        """Label -> that queue's counters plus its row cap."""
         with self._lock:
             items = [(self._label(key), queue)
                      for key, queue in self._queues.items()]
@@ -216,7 +181,6 @@ class ModelRouter:
             with queue._stats_lock:
                 counters = queue.stats.as_dict()
             counters["max_batch_size"] = queue.max_batch_size
-            counters["max_latency_seconds"] = queue.max_latency
             out[label] = counters
         return out
 

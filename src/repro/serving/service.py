@@ -8,9 +8,9 @@ matrix ``F`` of the serving graph (encoder forward pass, L2 normalisation,
 Eq. 16/Eq. 11 propagation — the expensive, query-independent half of
 Algorithm 4), held in an LRU so repeated queries skip propagation entirely.
 Queries then flow through the :class:`~repro.serving.router.ModelRouter`:
-**each model version gets its own micro-batch queue** (own row budget, own
-deadline, own dispatch thread), so one model's burst can never head-of-line
-block another's tickets, and every answer stays bitwise identical to offline
+**each model version gets its own micro-batch queue** (own forming batch,
+own dispatch thread), so one model's burst can never head-of-line block
+another's tickets, and every answer stays bitwise identical to offline
 :func:`~repro.core.inference.private_inference_scores` /
 :func:`~repro.core.inference.public_inference_scores` on the same bundle.
 
@@ -173,7 +173,7 @@ class InferenceService:
 
     def __init__(self, registry: ModelRegistry | str, *, graph=None,
                  graph_loader=None, max_batch_size: int = 64,
-                 max_latency: float = 0.0, max_sessions: int = 8,
+                 max_sessions: int = 8,
                  max_queue_depth: int | None = None,
                  mmap_bundles: bool = True):
         self.registry = (registry if isinstance(registry, ModelRegistry)
@@ -193,7 +193,6 @@ class InferenceService:
         self.metrics = ServingMetrics()
         self.batcher = ModelRouter(self._score_rows,
                                    max_batch_size=max_batch_size,
-                                   max_latency=max_latency,
                                    metrics=self.metrics,
                                    label=self._label_for)
         # Admission control: queue depths past this cap are answered with
@@ -224,7 +223,7 @@ class InferenceService:
 
     def attach_slo(self, controller) -> None:
         """Register the running SLO controller so ``stats()`` can surface
-        its budgets and attainment under the ``"slo"`` key."""
+        its error budgets under the ``"slo"`` key."""
         self.slo_controller = controller
 
     def _label_for(self, key: tuple) -> str:
@@ -574,21 +573,21 @@ class InferenceService:
 
         Runs *before* the request is parked on a ticket — the rejection
         costs a dict lookup and a counter read, never a matmul — and the
-        retry hint is the queue's estimated drain time under its current
-        batch budgets."""
+        retry hint is the queue's estimated drain time at the router's row
+        cap."""
         if self.max_queue_depth is None:
             return
         depth = self.batcher.depth(key)
         if depth < self.max_queue_depth:
             return
         label = self._label_for(key)
-        size, latency = self.batcher.model_limits(label)
         with self._lock:
             self.shed_counts[label] = self.shed_counts.get(label, 0) + 1
         raise OverloadedError(
             f"model {label} is overloaded: queue depth {depth} >= "
             f"{self.max_queue_depth}; retry later",
-            retry_after=estimate_drain_seconds(depth, size, latency),
+            retry_after=estimate_drain_seconds(depth,
+                                               self.batcher.max_batch_size),
             label=label, depth=depth, max_queue_depth=self.max_queue_depth)
 
     # ------------------------------------------------------------------ #
@@ -662,7 +661,7 @@ class InferenceService:
 
     def stats(self) -> dict:
         """Aggregate counters plus the per-model observability breakdown:
-        each served model's batch counters, effective limits, latency
+        each served model's batch counters, row cap, latency
         histogram (p50/p95/p99 in ms) and batch/queue distributions."""
         with self._lock:
             cache = dict(self.cache_stats, sessions=len(self._sessions))
@@ -685,7 +684,6 @@ class InferenceService:
             "propagation_cache": self.propagation.info(),
             "graph": {**graph_stats, "epochs": self.graph_epochs()},
             "max_batch_size": self.batcher.max_batch_size,
-            "max_latency_seconds": self.batcher.max_latency,
             "admission": {
                 "max_queue_depth": self.max_queue_depth,
                 "shed_total": sum(shed.values()),

@@ -1,30 +1,19 @@
-"""Closing the control loop: SLO-driven adaptive batching and load shedding.
+"""SLO error-budget accounting and queue-depth load shedding.
 
-The PR 5 histograms (:mod:`repro.serving.metrics`) made serving latency
-*observable*; until now nothing acted on them.  This module is the feedback
-half of the serving stack:
+The latency histograms (:mod:`repro.serving.metrics`) make serving latency
+*observable*; this module judges it against an objective and guards the
+queues:
 
-* :class:`SloController` — an AIMD controller that periodically reads each
-  model's latency histogram, computes the p99 **over the interval since its
-  last tick** (a windowed quantile from the difference of two bucket-count
-  snapshots, so one overloaded minute an hour ago cannot dominate today's
-  decision), and retunes that model's micro-batch budgets through
-  :meth:`~repro.serving.router.ModelRouter.configure_model`:
-
-  - **under the target p99**: grow the batch budget *additively*
-    (``+increase_by`` rows) and relax the flush deadline back toward the
-    configured base — probe for throughput while latency has headroom;
-  - **over the target p99**: back off *multiplicatively* (``x backoff`` on
-    both the row budget and the deadline) — shed latency fast, the classic
-    TCP-shaped response to congestion.  A backoff never raises either
-    limit: the floors only stop a shrinking limit, so a zero deadline (the
-    work-conserving default, where a batch flushes as soon as its queue is
-    idle) stays zero under every window.
-
-  Reconfiguration is safe under load because the
-  :class:`~repro.serving.batcher.MicroBatcher` snapshots both limits
-  atomically at each batch boundary — a mid-flush batch always runs under
-  one consistent configuration.
+* :class:`SloController` — every ``interval`` it reads each model's
+  latency histogram, takes the window since its last tick (the difference
+  of two bucket-count snapshots) and charges that window against the SLO
+  error budget: requests in buckets at or under the target p99 are good,
+  the rest spend the budget.  Cumulative good/bad counters and the rolling
+  budget and burn-rate gauges ride ``/metrics``, where the telemetry
+  collector retains them and the alert rules (:mod:`repro.obs.alerts`) and
+  the fleet dashboard read them.  The controller observes only: batching is
+  a fixed row cap over a work-conserving queue
+  (:mod:`repro.serving.batcher`), with nothing left to tune.
 
 * :class:`OverloadedError` — raised by the service's queue-depth admission
   check *before* a request is parked on a batch ticket.  The HTTP frontend
@@ -33,10 +22,10 @@ half of the serving stack:
   timeout after it.  The retry hint is the estimated drain time of the
   queue the request would have joined.
 
-Neither mechanism touches the data plane's one promise: budgets and
-admission change *when* a matmul runs and *whether* a request is accepted —
-never the numbers a served request returns, which stay bitwise equal to
-offline ``decision_scores``.
+Neither mechanism touches the data plane's one promise: accounting and
+admission change *whether* a request is accepted — never the numbers a
+served request returns, which stay bitwise equal to offline
+``decision_scores``.
 """
 
 from __future__ import annotations
@@ -49,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.exceptions import ReproError
-from repro.serving.metrics import LATENCY_BUCKETS, bucket_quantile
+from repro.serving.metrics import LATENCY_BUCKETS
 
 
 class OverloadedError(ReproError):
@@ -74,55 +63,35 @@ class OverloadedError(ReproError):
         return max(1, math.ceil(self.retry_after))
 
 
-def estimate_drain_seconds(depth: int, max_batch_size: int,
-                           max_latency: float) -> float:
+def estimate_drain_seconds(depth: int, max_batch_size: int) -> float:
     """Rough drain time of a queue ``depth`` tickets deep: each flush clears
-    up to ``max_batch_size`` tickets and a forming batch waits at most
-    ``max_latency`` — a floor of 10 ms keeps the hint non-zero even for
-    deadline-free queues."""
+    up to ``max_batch_size`` tickets and is charged a 10 ms floor, which
+    keeps the hint non-zero even for a queue that drains at once."""
     flushes = math.ceil(max(depth, 1) / max(max_batch_size, 1))
-    return flushes * max(max_latency, 0.010)
+    return flushes * 0.010
+
+
 
 
 @dataclass
 class ModelBudget:
-    """The controller's per-model state: current budgets plus the audit
-    trail ``/stats`` exposes."""
+    """One model label's error-budget account, as ``/stats`` exposes it."""
 
-    max_batch_size: int
-    max_latency: float
-    last_p99: float = 0.0
-    last_window: int = 0      # requests observed in the last non-empty window
-    ticks_under: int = 0      # windows at or under the target p99
-    ticks_over: int = 0       # windows over the target p99
-    grown: int = 0            # additive increases applied
-    backed_off: int = 0       # multiplicative backoffs applied
     good_total: int = 0       # requests at or under the target (cumulative)
     bad_total: int = 0        # requests over the target (cumulative)
     budget_remaining: float = 1.0   # over the rolling budget window
     budget_consumed: float = 0.0
     burn_rate: float = 0.0
     _counts: tuple = field(default=(), repr=False)  # last snapshot
+    # (at, good, bad) of every non-idle window still inside the rolling
+    # budget window, and their running sums: an idle window adds nothing,
+    # so it is never stored and a tick never re-sums the history.
     _history: deque = field(default_factory=deque, repr=False)
-
-    @property
-    def slo_attainment(self) -> float:
-        """Fraction of observed windows that met the target (1.0 when the
-        model has not seen traffic yet — an idle model is not violating)."""
-        windows = self.ticks_under + self.ticks_over
-        return self.ticks_under / windows if windows else 1.0
+    _window_good: int = field(default=0, repr=False)
+    _window_bad: int = field(default=0, repr=False)
 
     def as_dict(self) -> dict:
         return {
-            "max_batch_size": self.max_batch_size,
-            "max_latency_seconds": self.max_latency,
-            "last_window_p99_ms": self.last_p99 * 1e3,
-            "last_window_requests": self.last_window,
-            "windows_under_slo": self.ticks_under,
-            "windows_over_slo": self.ticks_over,
-            "grown": self.grown,
-            "backed_off": self.backed_off,
-            "slo_attainment": self.slo_attainment,
             "good_requests": self.good_total,
             "bad_requests": self.bad_total,
             "error_budget_remaining": self.budget_remaining,
@@ -132,76 +101,45 @@ class ModelBudget:
 
 
 class SloController:
-    """AIMD feedback from the latency histograms into per-model batch budgets.
+    """Charges each model's latency windows against the SLO error budget.
 
     Parameters
     ----------
-    router:
-        The :class:`~repro.serving.router.ModelRouter` whose per-model
-        budgets are tuned (via ``configure_model``); its attached
-        :class:`~repro.serving.metrics.ServingMetrics` is the feedback
-        signal unless ``metrics`` overrides it.
+    metrics:
+        The :class:`~repro.serving.metrics.ServingMetrics` whose latency
+        histograms are read and into which the budget series are published.
     target_p99:
-        The latency objective in **seconds**: hold each model's windowed
-        p99 at or under this.
+        The latency objective in **seconds**: a request at or under it is
+        good, one over it spends the error budget.
     interval:
-        Seconds between control ticks (the window length).
-    increase_by:
-        Additive row-budget growth per under-target window.
-    backoff:
-        Multiplicative factor (0 < backoff < 1) applied to both budgets on
-        an over-target window.
-    min_batch_size / max_batch_size:
-        Clamp bounds for the row budget.
-    min_latency:
-        Floor for the flush deadline under backoff (a deadline already
-        under it, such as the default zero, is left alone); the ceiling is
-        the router-wide default the server was started with (the deadline
-        recovers additively toward it).
+        Seconds between ticks of the background loop (the window length).
+    objective:
+        Fraction of requests that must meet the target (0 < objective < 1);
+        the error budget is the remaining ``1 - objective``.
+    budget_window:
+        Seconds of history the rolling budget and burn rate are judged over.
     clock:
         Injectable time source (the tests drive a fake one).
     """
 
-    def __init__(self, router, *, target_p99: float, metrics=None,
-                 interval: float = 0.25, increase_by: int = 8,
-                 backoff: float = 0.5, min_batch_size: int = 1,
-                 max_batch_size: int = 4096, min_latency: float = 0.0005,
+    def __init__(self, metrics, *, target_p99: float, interval: float = 0.25,
                  objective: float = 0.99, budget_window: float = 3600.0,
                  clock=time.monotonic):
         if target_p99 <= 0:
             raise ValueError(f"target_p99 must be > 0, got {target_p99}")
-        if not 0.0 < backoff < 1.0:
-            raise ValueError(f"backoff must be in (0, 1), got {backoff}")
         if not 0.0 < objective < 1.0:
             raise ValueError(f"objective must be in (0, 1), got {objective}")
         if budget_window <= 0:
             raise ValueError(
                 f"budget_window must be > 0, got {budget_window}")
-        if increase_by < 1:
-            raise ValueError(f"increase_by must be >= 1, got {increase_by}")
-        if not 1 <= min_batch_size <= max_batch_size:
-            raise ValueError(
-                f"need 1 <= min_batch_size <= max_batch_size, got "
-                f"[{min_batch_size}, {max_batch_size}]")
-        self.router = router
-        self.metrics = metrics if metrics is not None else router.metrics
+        self.metrics = metrics
         self.target_p99 = float(target_p99)
         self.interval = float(interval)
-        self.increase_by = int(increase_by)
-        self.backoff = float(backoff)
-        self.min_batch_size = int(min_batch_size)
-        self.max_batch_size = int(max_batch_size)
-        self.min_latency = float(min_latency)
         self.objective = float(objective)
         self.budget_window = float(budget_window)
         # Buckets whose upper edge is at or under the target hold the
         # "good" requests; the error budget is everything above.
         self._good_buckets = bisect_right(LATENCY_BUCKETS, self.target_p99)
-        # The deadline ceiling and its additive recovery step are anchored to
-        # the router-wide default: what the operator configured is the most
-        # the controller will ever let a batch wait.
-        self.base_latency = float(router.max_latency)
-        self.latency_step = max(self.base_latency / 4.0, self.min_latency)
         self._clock = clock
         self._lock = threading.Lock()
         self._budgets: dict[str, ModelBudget] = {}
@@ -211,58 +149,65 @@ class SloController:
         self.last_error: str | None = None
 
     # ------------------------------------------------------------------ #
-    # the control step
+    # the accounting step
     # ------------------------------------------------------------------ #
-    def tick(self) -> dict:
-        """One control step over every model with traffic; returns the
-        per-label decisions (the deterministic entry point the tests call
-        directly with a fake clock and a hand-fed metrics object)."""
-        decisions: dict[str, dict] = {}
+    def tick(self) -> None:
+        """Charge every model's window since the last tick (the
+        deterministic entry point the tests call directly with a fake clock
+        and a hand-fed metrics object)."""
         snapshot = self.metrics.latency_snapshot()
+        publish = getattr(self.metrics, "set_series", None)
+        now = self._clock()
         with self._lock:
             self.ticks += 1
-            for label, (counts, observed_max, _total) in snapshot.items():
+            for label, counts in snapshot.items():
                 budget = self._budgets.get(label)
-                if budget is None:
-                    size, latency = self.router.model_limits(label)
-                    budget = self._budgets[label] = ModelBudget(
-                        max_batch_size=size, max_latency=latency)
-                window = [new - old for new, old in
-                          zip(counts, budget._counts)] \
-                    if budget._counts else list(counts)
+                fresh = budget is None
+                if fresh:
+                    budget = self._budgets[label] = ModelBudget()
+                if counts == budget._counts:
+                    window = ()  # idle since the last tick
+                elif budget._counts:
+                    window = [new - old for new, old in
+                              zip(counts, budget._counts)]
+                else:
+                    window = counts
                 budget._counts = counts
-                requests = sum(window)
-                self._account(label, budget, window, requests)
-                if requests == 0:
-                    continue  # idle window: hold the budgets, judge nothing
-                p99 = bucket_quantile(LATENCY_BUCKETS, window, 0.99,
-                                      overflow_value=observed_max)
-                decisions[label] = self._adjust(label, budget, p99, requests)
-        return decisions
+                changed = self._account(budget, window, now)
+                # Hand-fed test doubles only speak snapshots.
+                if publish is not None and (changed or fresh):
+                    self._publish(publish, label, budget)
 
-    def _account(self, label: str, budget: ModelBudget, window,
-                 requests: int) -> None:
-        """Charge this window against the SLO error budget and publish the
-        result into the metrics registry (rides ``/metrics``, retained by
-        the telemetry collector, merged fleet-wide by the aggregator).
+    def _account(self, budget: ModelBudget, window, now: float) -> bool:
+        """Charge one window against the error budget and roll history older
+        than ``budget_window`` out of it; True when the budget moved.
 
         "Good" is exact, not interpolated: requests in latency buckets whose
-        upper edge is at or under the target.  The burn rate of a window is
-        ``(bad / total) / (1 - objective)`` — 1x spends the budget exactly
-        at the sustainable pace.
+        upper edge is at or under the target.  The burn rate over the
+        rolling window is ``(bad / total) / (1 - objective)`` — 1x spends
+        the budget exactly at the sustainable pace.
         """
-        now = self._clock()
-        good = int(sum(window[:self._good_buckets]))
-        bad = int(requests) - good
-        budget.good_total += good
-        budget.bad_total += bad
+        requests = int(sum(window))
         history = budget._history
-        history.append((now, good, bad))
-        while history and history[0][0] < now - self.budget_window:
-            history.popleft()
-        window_good = sum(entry[1] for entry in history)
-        window_bad = sum(entry[2] for entry in history)
-        window_total = window_good + window_bad
+        if requests:
+            good = int(sum(window[:self._good_buckets]))
+            bad = requests - good
+            budget.good_total += good
+            budget.bad_total += bad
+            history.append((now, good, bad))
+            budget._window_good += good
+            budget._window_bad += bad
+        changed = bool(requests)
+        horizon = now - self.budget_window
+        while history and history[0][0] < horizon:
+            _at, good, bad = history.popleft()
+            budget._window_good -= good
+            budget._window_bad -= bad
+            changed = True
+        if not changed:
+            return False
+        window_bad = budget._window_bad
+        window_total = budget._window_good + window_bad
         allowance = 1.0 - self.objective
         if window_total:
             budget.burn_rate = (window_bad / window_total) / allowance
@@ -271,9 +216,12 @@ class SloController:
             budget.burn_rate = 0.0
             budget.budget_consumed = 0.0
         budget.budget_remaining = 1.0 - budget.budget_consumed
-        publish = getattr(self.metrics, "set_series", None)
-        if publish is None:  # hand-fed test doubles only speak snapshots
-            return
+        return True
+
+    def _publish(self, publish, label: str, budget: ModelBudget) -> None:
+        """Publish one label's account into the metrics registry (rides
+        ``/metrics``, retained by the telemetry collector, merged fleet-wide
+        by the aggregator)."""
         labels = {"model": label}
         publish("repro_slo_target_p99_seconds", self.target_p99,
                 help_text="SLO latency objective the controller holds.")
@@ -298,41 +246,11 @@ class SloController:
                 help_text="Budget burn multiple over the rolling window "
                           "(1x = sustainable pace).")
 
-    def _adjust(self, label: str, budget: ModelBudget, p99: float,
-                requests: int) -> dict:
-        budget.last_p99 = p99
-        budget.last_window = requests
-        size, latency = budget.max_batch_size, budget.max_latency
-        if p99 > self.target_p99:
-            budget.ticks_over += 1
-            # The floors stop a shrinking limit; they never raise one.
-            new_size = min(size, max(self.min_batch_size,
-                                     int(size * self.backoff)))
-            new_latency = min(latency,
-                              max(self.min_latency, latency * self.backoff))
-            action = "backoff"
-        else:
-            budget.ticks_under += 1
-            new_size = min(self.max_batch_size, size + self.increase_by)
-            new_latency = min(self.base_latency, latency + self.latency_step)
-            action = "grow"
-        if (new_size, new_latency) != (size, latency):
-            if action == "backoff":
-                budget.backed_off += 1
-            else:
-                budget.grown += 1
-            budget.max_batch_size = new_size
-            budget.max_latency = new_latency
-            self.router.configure_model(label, max_batch_size=new_size,
-                                        max_latency=new_latency)
-        return {"action": action, "p99": p99, "requests": requests,
-                "max_batch_size": new_size, "max_latency": new_latency}
-
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> "SloController":
-        """Run the control loop on a daemon thread (idempotent)."""
+        """Run the accounting loop on a daemon thread (idempotent)."""
         if self._thread is None:
             self._stopping.clear()
             self._thread = threading.Thread(target=self._loop, daemon=True,
@@ -356,7 +274,7 @@ class SloController:
         while not self._stopping.wait(self.interval):
             try:
                 self.tick()
-            except Exception as error:  # keep controlling; surface in /stats
+            except Exception as error:  # keep accounting; surface in /stats
                 self.last_error = repr(error)
 
     # ------------------------------------------------------------------ #
@@ -371,9 +289,6 @@ class SloController:
                 "objective": self.objective,
                 "budget_window_seconds": self.budget_window,
                 "interval_seconds": self.interval,
-                "increase_by": self.increase_by,
-                "backoff": self.backoff,
-                "base_max_latency_seconds": self.base_latency,
                 "ticks": self.ticks,
                 "last_error": self.last_error,
                 "models": models,

@@ -202,7 +202,14 @@ class TestPublishServeCommands:
         args = parser.parse_args(["serve", "--registry", "r", "--model", "m"])
         assert args.port == 8151
         assert args.batch_size == 64
-        assert args.max_latency_ms == 0.0
+        assert args.slo_p99_ms == 50.0
+        # Batching is a fixed row cap over a work-conserving queue: the
+        # linger and the tuner switch are gone from the command line.
+        for removed in (["--max-latency-ms", "1"], ["--static-batching"]):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(["serve", "--registry", "r", "--model",
+                                   "m", *removed])
+            assert excinfo.value.code == 2
 
     def test_help_lists_publish_and_serve(self):
         help_text = build_parser().format_help()

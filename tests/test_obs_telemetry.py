@@ -68,7 +68,7 @@ class _Server:
             from repro.serving import SloController
 
             # Not started: the tests drive tick() deterministically.
-            self.controller = SloController(self.service.batcher,
+            self.controller = SloController(self.service.metrics,
                                             target_p99=0.05)
             self.service.attach_slo(self.controller)
         self.server = serve_http(self.service, port=0, trace=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -70,8 +71,8 @@ class TestRunOnce:
             batcher.submit([])
         with pytest.raises(ValueError):
             MicroBatcher(CountingScorer(), max_batch_size=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(CountingScorer(), max_latency=-1)
+        with pytest.raises(TypeError):  # batching has no linger to set
+            MicroBatcher(CountingScorer(), max_latency=0.0)
 
     def test_inline_execution_without_a_thread(self):
         """predict_scores works with no dispatch thread running."""
@@ -101,12 +102,33 @@ class TestRunOnce:
         assert observer.seen == [("depth", "after", 2), ("batch", "after", 2)]
 
 
+def wait_until(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def gated(scorer, gate, entered):
+    """Wrap ``scorer`` so its first call signals ``entered`` and then blocks
+    until ``gate`` is set: the rows submitted meanwhile queue behind an
+    in-flight matmul, with no timing involved."""
+    def compute(nodes):
+        if not entered.is_set():
+            entered.set()
+            assert gate.wait(10.0)
+        return scorer(nodes)
+    return compute
+
+
 class TestDispatchThread:
     def test_concurrent_callers_coalesce(self):
         scorer = CountingScorer()
-        # A generous latency window so all threads land in one batch.
-        with MicroBatcher(scorer, max_batch_size=1024,
-                          max_latency=0.25) as batcher:
+        entered, release = threading.Event(), threading.Event()
+        with MicroBatcher(gated(scorer, release, entered),
+                          max_batch_size=1024) as batcher:
+            blocker = batcher.submit([99])
+            assert entered.wait(10.0)  # a matmul is now in flight
             results = [None] * 16
             errors = []
 
@@ -120,40 +142,45 @@ class TestDispatchThread:
                        for i in range(16)]
             for thread in threads:
                 thread.start()
+            wait_until(lambda: batcher.depth() == 17)  # all queued behind it
+            release.set()
             for thread in threads:
                 thread.join()
+            np.testing.assert_array_equal(blocker.result(10.0), [[99, 198]])
         assert not errors
         for i, scores in enumerate(results):
             np.testing.assert_array_equal(scores, [[i, 2 * i]])
-        # 16 requests cannot have taken 16 separate batches: the window
-        # coalesces them (leave slack for scheduling jitter).
-        assert batcher.stats.batches < 16
-        assert batcher.stats.coalesced_requests > 0
-
-    def test_max_batch_size_flushes_early(self):
-        scorer = CountingScorer()
-        batcher = MicroBatcher(scorer, max_batch_size=4, max_latency=30.0)
-        batcher.start()
-        try:
-            tickets = [batcher.submit([i]) for i in range(4)]
-            # With max_latency=30s, only the size trigger can flush this.
-            for ticket in tickets:
-                assert ticket.result(10.0) is not None
-        finally:
-            batcher.close()
+        # All 16 callers queued behind the in-flight matmul, so they share
+        # the next one.
+        assert [call.size for call in scorer.calls] == [1, 16]
+        assert batcher.stats.batches == 2
+        assert batcher.stats.coalesced_requests == 16
 
     def test_close_flushes_stragglers(self):
-        scorer = CountingScorer()
-        batcher = MicroBatcher(scorer, max_batch_size=64, max_latency=30.0)
+        """Tickets still queued when close() stops the dispatch loop are
+        flushed by close() itself, on the closing thread."""
+        threads = []
+
+        def scorer(nodes):
+            threads.append(threading.current_thread())
+            if len(threads) == 1:  # hold the first matmul until close()
+                assert batcher._stopping.wait(10.0)
+            return np.stack([nodes.astype(float), 2.0 * nodes], axis=1)
+
+        batcher = MicroBatcher(scorer, max_batch_size=64)
         batcher.start()
+        first = batcher.submit([4])
+        wait_until(lambda: threads)  # the first matmul is in flight
         ticket = batcher.submit([5])
         batcher.close()
+        np.testing.assert_array_equal(first.result(1.0), [[4, 8]])
         np.testing.assert_array_equal(ticket.result(1.0), [[5, 10]])
+        assert threads[1] is threading.current_thread()
 
     def test_already_queued_tickets_flush_together(self):
-        """A zero linger still takes every ticket already queued."""
+        """The dispatch loop takes every ticket already queued at once."""
         scorer = CountingScorer()
-        batcher = MicroBatcher(scorer, max_batch_size=64, max_latency=0.0)
+        batcher = MicroBatcher(scorer, max_batch_size=64)
         tickets = [batcher.submit([i]) for i in range(8)]
         batcher.start()
         try:
@@ -171,14 +198,8 @@ class TestDispatchThread:
         its in-flight matmul are stacked into the next one."""
         entered, release = threading.Event(), threading.Event()
         inner = CountingScorer()
-
-        def scorer(nodes):
-            if not entered.is_set():
-                entered.set()
-                assert release.wait(10.0)
-            return inner(nodes)
-
-        batcher = MicroBatcher(scorer, max_batch_size=64, max_latency=0.0)
+        batcher = MicroBatcher(gated(inner, release, entered),
+                               max_batch_size=64)
         batcher.start()
         try:
             first = batcher.submit([0])
@@ -199,7 +220,7 @@ class TestDispatchThread:
 
     def test_max_batch_size_caps_a_greedy_drain(self):
         scorer = CountingScorer()
-        batcher = MicroBatcher(scorer, max_batch_size=3, max_latency=0.0)
+        batcher = MicroBatcher(scorer, max_batch_size=3)
         tickets = [batcher.submit([i]) for i in range(8)]
         batcher.start()
         try:
@@ -208,3 +229,31 @@ class TestDispatchThread:
         finally:
             batcher.close()
         assert [call.size for call in scorer.calls] == [3, 3, 2]
+
+    def test_concurrent_submitters_get_their_own_rows(self):
+        """Several threads hammer a live batcher with multi-row requests:
+        however the tickets coalesce, each gets exactly its own rows back."""
+        def scorer(nodes):
+            return np.stack([nodes.astype(float), 2.0 * nodes], axis=1)
+
+        batcher = MicroBatcher(scorer, max_batch_size=8)
+        failures = []
+
+        def submitter(offset):
+            tickets = [(i, batcher.submit([i, i + 1]))
+                       for i in range(offset, offset + 300, 3)]
+            for i, ticket in tickets:
+                result = ticket.result(10.0)
+                if not np.array_equal(result[:, 0], [i, i + 1]):
+                    failures.append((i, result))  # pragma: no cover
+
+        with batcher:
+            threads = [threading.Thread(target=submitter, args=(offset,))
+                       for offset in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert not failures
+        assert batcher.stats.requests == 300
+        assert batcher.depth() == 0  # everything drained and accounted

@@ -28,6 +28,33 @@ class CountingScorer:
         return np.stack([nodes.astype(float), 2.0 * nodes], axis=1)
 
 
+class HeldScorer(CountingScorer):
+    """Holds each model's first matmul until that model's queue starts
+    closing, so tickets submitted meanwhile are still queued when its
+    dispatch loop stops: only flush-on-close can resolve them.  Records the
+    thread every call ran on."""
+
+    def __init__(self):
+        super().__init__()
+        self.queues: dict = {}    # model -> its MicroBatcher, set by the test
+        self.entered: dict = {}   # model -> set once its held matmul runs
+        self.threads: dict = {}   # model -> thread of each call, in order
+
+    def hold(self, router, model_key) -> MicroBatcher:
+        queue = self.queues[model_key] = router.queue_for(model_key)
+        self.entered[model_key] = threading.Event()
+        return queue
+
+    def __call__(self, model_key, nodes):
+        with self.lock:
+            calls = self.threads.setdefault(model_key, [])
+            calls.append(threading.current_thread())
+        if len(calls) == 1:
+            self.entered[model_key].set()
+            assert self.queues[model_key]._stopping.wait(10.0)
+        return super().__call__(model_key, nodes)
+
+
 class TestRouting:
     def test_each_model_gets_its_own_queue(self):
         scorer = CountingScorer()
@@ -70,10 +97,9 @@ class TestRouting:
 
     def test_independent_deadlines_no_head_of_line_blocking(self):
         """With dispatch threads running, a slow model's matmul cannot delay
-        a fast model's flush: each queue has its own deadline and thread."""
+        a fast model's flush: each queue has its own dispatch thread."""
         scorer = CountingScorer(delays={"slow": 0.25})
-        with ModelRouter(scorer, max_batch_size=64,
-                         max_latency=0.005) as router:
+        with ModelRouter(scorer, max_batch_size=64) as router:
             slow_results: list = []
             slow_thread = threading.Thread(
                 target=lambda: slow_results.append(
@@ -89,21 +115,6 @@ class TestRouting:
         # The fast request must not have waited out the slow model's 250ms
         # compute (generous bound for scheduler noise on a loaded 1-core CI).
         assert fast_elapsed < 0.2, f"fast model waited {fast_elapsed:.3f}s"
-
-    def test_per_model_configuration_overrides(self):
-        router = ModelRouter(CountingScorer(), max_batch_size=64,
-                             max_latency=0.005)
-        router.configure_model("a", max_batch_size=2, max_latency=0.0)
-        assert router.queue_for("a").max_batch_size == 2
-        assert router.queue_for("a").max_latency == 0.0
-        assert router.queue_for("b").max_batch_size == 64
-        # Reconfiguring an existing queue applies too.
-        router.configure_model("b", max_latency=0.125)
-        assert router.queue_for("b").max_latency == 0.125
-        with pytest.raises(ValueError):
-            router.configure_model("c", max_batch_size=0)
-        with pytest.raises(ValueError):
-            router.configure_model("c", max_latency=-1.0)
 
     def test_aggregate_stats_merge_across_queues(self):
         scorer = CountingScorer()
@@ -150,14 +161,23 @@ class TestRouting:
         assert payload["b"]["batch_rows"]["max"] == 1.0
 
     def test_close_flushes_every_queue(self):
-        scorer = CountingScorer()
-        router = ModelRouter(scorer, max_batch_size=64, max_latency=30.0)
+        scorer = HeldScorer()
+        router = ModelRouter(scorer, max_batch_size=64)
+        for model in ("a", "b"):
+            scorer.hold(router, model)
         router.start()
-        tickets = [router.submit(model, [i])
-                   for i, model in enumerate(("a", "b", "a"))]
+        held = [router.submit(model, [i]) for i, model in enumerate("ab")]
+        for model in ("a", "b"):
+            assert scorer.entered[model].wait(10.0)
+        stragglers = [router.submit(model, [10 + i])
+                      for i, model in enumerate(("a", "b", "a"))]
         router.close()
-        for ticket in tickets:
+        for ticket in held + stragglers:
             assert ticket.result(1.0) is not None
+        # Each queue's stragglers were flushed by close(), on this thread.
+        assert {model: calls[-1] is threading.current_thread()
+                for model, calls in scorer.threads.items()} == {
+            "a": True, "b": True}
 
     def test_retire_drops_the_queue_and_flushes_its_tickets(self):
         scorer = CountingScorer()
@@ -188,18 +208,22 @@ class TestRouting:
         assert router.stats.requests == 3
 
     def test_retire_stops_a_started_queues_thread(self):
-        scorer = CountingScorer()
-        with ModelRouter(scorer, max_latency=30.0) as router:
-            ticket = router.submit("old", [3])
+        scorer = HeldScorer()
+        with ModelRouter(scorer) as router:
+            queue = scorer.hold(router, "old")
+            held = router.submit("old", [3])
+            assert scorer.entered["old"].wait(10.0)
+            straggler = router.submit("old", [4])
             assert router.retire("old") is True
-            np.testing.assert_array_equal(ticket.result(5.0), [[3, 6]])
+            np.testing.assert_array_equal(held.result(5.0), [[3, 6]])
+            np.testing.assert_array_equal(straggler.result(5.0), [[4, 8]])
+            assert scorer.threads["old"][-1] is threading.current_thread()
+            assert queue._thread is None
             assert router.queue_count() == 0
 
     def test_invalid_defaults_rejected(self):
         with pytest.raises(ValueError):
             ModelRouter(CountingScorer(), max_batch_size=0)
-        with pytest.raises(ValueError):
-            ModelRouter(CountingScorer(), max_latency=-0.1)
 
 
 class TestBatcherSatelliteFixes:

@@ -1,11 +1,10 @@
-"""Tests for the SLO control plane: AIMD adaptive batching, queue-depth
-admission control, atomic reconfiguration under load, the memory-mapped
-bundle path and the fused response renderer.
+"""Tests for the SLO plane: error-budget accounting, queue-depth admission
+control, the memory-mapped bundle path and the fused response renderer.
 
 The bar is the same as the rest of the serving stack: every mechanism here
 changes *latency and availability* only.  Scores stay bitwise equal to
-offline ``GCON.decision_scores`` in every configuration — adaptive or
-static, mapped or eager, mid-reconfiguration or not.
+offline ``GCON.decision_scores`` in every configuration — accounted or not,
+mapped or eager.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.core.model import GCON
 from repro.graphs.datasets import load_dataset
 from repro.serving import (
     InferenceService,
-    MicroBatcher,
     ModelRegistry,
     OverloadedError,
     SloController,
@@ -39,208 +37,68 @@ from repro.serving.slo import estimate_drain_seconds
 
 
 # --------------------------------------------------------------------------- #
-# controller fakes: a hand-fed metrics source and a budget-recording router
+# controller fake: a hand-fed metrics source
 # --------------------------------------------------------------------------- #
 class FakeMetrics:
     """A ServingMetrics stand-in whose histograms the test sets directly."""
 
     def __init__(self):
         self._counts: dict[str, list[int]] = {}
-        self._max: dict[str, float] = {}
 
     def observe(self, label: str, seconds: float, n: int = 1) -> None:
         counts = self._counts.setdefault(
             label, [0] * (len(LATENCY_BUCKETS) + 1))
         counts[bisect.bisect_left(LATENCY_BUCKETS, seconds)] += n
-        self._max[label] = max(self._max.get(label, 0.0), seconds)
 
     def latency_snapshot(self):
-        return {label: (tuple(counts), self._max[label], sum(counts))
+        return {label: tuple(counts)
                 for label, counts in self._counts.items()}
 
 
-class FakeRouter:
-    """Records configure_model calls; reports limits like a ModelRouter."""
-
-    def __init__(self, max_batch_size: int = 64, max_latency: float = 0.005):
-        self.max_batch_size = max_batch_size
-        self.max_latency = max_latency
-        self.metrics = FakeMetrics()
-        self.overrides: dict[str, tuple[int, float]] = {}
-        self.calls: list[tuple[str, int, float]] = []
-
-    def model_limits(self, label: str) -> tuple[int, float]:
-        return self.overrides.get(label,
-                                  (self.max_batch_size, self.max_latency))
-
-    def configure_model(self, label: str, *, max_batch_size=None,
-                        max_latency=None) -> None:
-        self.calls.append((label, max_batch_size, max_latency))
-        self.overrides[label] = (max_batch_size, max_latency)
-
-
-def controller(router=None, **kwargs):
-    router = router if router is not None else FakeRouter()
+def controller(metrics=None, **kwargs):
     kwargs.setdefault("target_p99", 0.050)
-    kwargs.setdefault("metrics", FakeMetrics())
-    return SloController(router, **kwargs)
+    return SloController(metrics if metrics is not None else FakeMetrics(),
+                         **kwargs)
 
 
-class TestAimdController:
-    def test_over_target_window_backs_off_multiplicatively(self):
-        router = FakeRouter(max_batch_size=64, max_latency=0.005)
+class TestSloController:
+    def test_models_are_accounted_independently(self):
         metrics = FakeMetrics()
-        ctl = controller(router, metrics=metrics, target_p99=0.050)
-        metrics.observe("demo", 0.200, n=100)  # p99 ~ 200ms, way over
-        decisions = ctl.tick()
-        assert decisions["demo"]["action"] == "backoff"
-        size, latency = router.overrides["demo"]
-        assert size == 32            # 64 * 0.5
-        assert latency == 0.0025     # 0.005 * 0.5
-        state = ctl.state()["models"]["demo"]
-        assert state["windows_over_slo"] == 1
-        assert state["backed_off"] == 1
-        assert state["last_window_requests"] == 100
-
-    def test_under_target_window_grows_additively(self):
-        router = FakeRouter(max_batch_size=64, max_latency=0.004)
-        metrics = FakeMetrics()
-        ctl = controller(router, metrics=metrics, target_p99=0.050,
-                         increase_by=8, max_batch_size=4096)
-        metrics.observe("demo", 0.001, n=100)
-        decisions = ctl.tick()
-        assert decisions["demo"]["action"] == "grow"
-        size, latency = router.overrides["demo"]
-        assert size == 72            # 64 + 8
-        assert latency == 0.004      # already at the base ceiling: held
-
-    def test_repeated_overload_converges_to_the_floors(self):
-        router = FakeRouter(max_batch_size=64, max_latency=0.005)
-        metrics = FakeMetrics()
-        ctl = controller(router, metrics=metrics, target_p99=0.001,
-                         min_batch_size=1, min_latency=0.0005)
-        for _ in range(20):
-            metrics.observe("demo", 0.500, n=10)  # every window violates
-            ctl.tick()
-        size, latency = router.overrides["demo"]
-        assert size == 1
-        assert latency == 0.0005
-
-    def test_recovery_after_backoff_is_additive_and_capped(self):
-        router = FakeRouter(max_batch_size=64, max_latency=0.004)
-        metrics = FakeMetrics()
-        ctl = controller(router, metrics=metrics, target_p99=0.050,
-                         increase_by=8, backoff=0.5, max_batch_size=64)
-        metrics.observe("demo", 0.300, n=50)   # crash the budgets
-        ctl.tick()
-        for _ in range(50):                     # then run fast forever
-            metrics.observe("demo", 0.001, n=50)
-            ctl.tick()
-        size, latency = router.overrides["demo"]
-        assert size == 64              # grew back, capped at the size ceiling
-        assert latency == 0.004        # deadline never exceeds the base
-        state = ctl.state()["models"]["demo"]
-        assert state["grown"] >= 4     # (32 -> 64 in +8 steps)
-
-    def test_a_zero_deadline_stays_zero_through_backoff_and_growth(self):
-        """The floors stop a shrinking limit, they never raise one: with the
-        default zero deadline an over-target window must not lift it to
-        ``min_latency`` (and an under-target one then drop it back)."""
-        router = FakeRouter(max_batch_size=64, max_latency=0.0)
-        metrics = FakeMetrics()
-        ctl = controller(router, metrics=metrics, target_p99=0.050,
-                         min_latency=0.0005)
-        metrics.observe("demo", 0.200, n=100)
-        assert ctl.tick()["demo"]["max_latency"] == 0.0
-        assert router.model_limits("demo") == (32, 0.0)
-        assert all(latency == 0.0 for _, _, latency in router.calls)
-        metrics.observe("demo", 0.001, n=100)
-        assert ctl.tick()["demo"]["action"] == "grow"
-        assert router.model_limits("demo")[1] == 0.0
-        assert all(latency == 0.0 for _, _, latency in router.calls)
-
-    def test_growth_respects_the_configured_size_cap(self):
-        router = FakeRouter(max_batch_size=64, max_latency=0.004)
-        metrics = FakeMetrics()
-        ctl = controller(router, metrics=metrics, target_p99=0.050,
-                         increase_by=100, max_batch_size=100)
-        metrics.observe("demo", 0.001, n=10)
-        ctl.tick()
-        assert router.overrides["demo"][0] == 100
-
-    def test_idle_window_holds_the_budgets(self):
-        """No new samples since the last tick -> no decision, no changes."""
-        router = FakeRouter()
-        metrics = FakeMetrics()
-        ctl = controller(router, metrics=metrics, target_p99=0.050)
-        metrics.observe("demo", 0.200, n=10)
-        assert "demo" in ctl.tick()
-        calls_before = len(router.calls)
-        assert ctl.tick() == {}                # same cumulative counts: idle
-        assert len(router.calls) == calls_before
-
-    def test_p99_is_windowed_not_lifetime(self):
-        """A slow past must not poison a fast present: after one bad window,
-        an all-fast window grows even though the lifetime histogram is still
-        dominated by slow samples."""
-        router = FakeRouter()
-        metrics = FakeMetrics()
-        ctl = controller(router, metrics=metrics, target_p99=0.050)
-        metrics.observe("demo", 0.400, n=1000)  # terrible first window
-        assert ctl.tick()["demo"]["action"] == "backoff"
-        metrics.observe("demo", 0.001, n=10)    # tiny, but all-fast, window
-        assert ctl.tick()["demo"]["action"] == "grow"
-
-    def test_models_are_tuned_independently(self):
-        router = FakeRouter()
-        metrics = FakeMetrics()
-        ctl = controller(router, metrics=metrics, target_p99=0.050)
+        ctl = controller(metrics, target_p99=0.050)
         metrics.observe("slow", 0.300, n=50)
         metrics.observe("fast", 0.001, n=50)
-        decisions = ctl.tick()
-        assert decisions["slow"]["action"] == "backoff"
-        assert decisions["fast"]["action"] == "grow"
+        ctl.tick()
+        models = ctl.state()["models"]
+        assert (models["slow"]["good_requests"],
+                models["slow"]["bad_requests"]) == (0, 50)
+        assert (models["fast"]["good_requests"],
+                models["fast"]["bad_requests"]) == (50, 0)
 
     def test_state_exposes_the_stats_block(self):
-        ctl = controller(target_p99=0.050)
+        metrics = FakeMetrics()
+        ctl = controller(metrics, target_p99=0.050)
+        metrics.observe("demo", 0.001, n=3)
+        ctl.tick()
         state = ctl.state()
         assert state["target_p99_ms"] == 50.0
         assert state["last_error"] is None
-        for key in ("interval_seconds", "increase_by", "backoff",
-                    "base_max_latency_seconds", "ticks", "models"):
-            assert key in state
-
-    def test_attainment_counts_windows(self):
-        router = FakeRouter()
-        metrics = FakeMetrics()
-        ctl = controller(router, metrics=metrics, target_p99=0.050)
-        metrics.observe("demo", 0.001, n=10)
-        ctl.tick()
-        metrics.observe("demo", 0.400, n=10)
-        ctl.tick()
-        metrics.observe("demo", 0.001, n=10)
-        ctl.tick()
-        state = ctl.state()["models"]["demo"]
-        assert state["windows_under_slo"] == 2
-        assert state["windows_over_slo"] == 1
-        assert state["slo_attainment"] == pytest.approx(2 / 3)
+        assert set(state) == {"target_p99_ms", "objective",
+                              "budget_window_seconds", "interval_seconds",
+                              "ticks", "last_error", "models"}
+        assert set(state["models"]["demo"]) == {
+            "good_requests", "bad_requests", "error_budget_remaining",
+            "error_budget_consumed", "burn_rate"}
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="target_p99"):
             controller(target_p99=0.0)
-        with pytest.raises(ValueError, match="backoff"):
-            controller(backoff=1.0)
-        with pytest.raises(ValueError, match="increase_by"):
-            controller(increase_by=0)
-        with pytest.raises(ValueError, match="min_batch_size"):
-            controller(min_batch_size=10, max_batch_size=5)
 
     def test_background_loop_ticks_and_survives_errors(self):
         class ExplodingMetrics:
             def latency_snapshot(self):
                 raise RuntimeError("boom")
 
-        ctl = controller(metrics=ExplodingMetrics(), interval=0.005)
+        ctl = controller(ExplodingMetrics(), interval=0.005)
         with ctl:
             deadline = time.monotonic() + 2.0
             while ctl.last_error is None and time.monotonic() < deadline:
@@ -261,12 +119,12 @@ class TestAdmissionPrimitives:
         assert shed(2.0).retry_after_header == 2
 
     def test_estimate_drain_seconds(self):
-        # 100 deep / 10 per flush = 10 flushes; 10ms floor per flush.
-        assert estimate_drain_seconds(100, 10, 0.005) == pytest.approx(0.100)
-        assert estimate_drain_seconds(100, 10, 0.020) == pytest.approx(0.200)
+        # 100 deep / 10 per flush = 10 flushes; 10ms per flush.
+        assert estimate_drain_seconds(100, 10) == pytest.approx(0.100)
+        assert estimate_drain_seconds(101, 10) == pytest.approx(0.110)
         # Empty/degenerate queues still produce a positive hint.
-        assert estimate_drain_seconds(0, 10, 0.0) > 0
-        assert estimate_drain_seconds(5, 0, 0.0) > 0
+        assert estimate_drain_seconds(0, 10) > 0
+        assert estimate_drain_seconds(5, 0) > 0
 
 
 # --------------------------------------------------------------------------- #
@@ -372,81 +230,14 @@ class TestMmapBundles:
                               offline[nodes])
 
 
-class TestReconfigurationUnderLoad:
-    def test_concurrent_per_field_configures_never_lose_an_update(self):
-        batcher = MicroBatcher(lambda nodes: np.zeros((nodes.size, 2)))
-        barrier = threading.Barrier(2)
-
-        def set_size():
-            barrier.wait()
-            for _ in range(500):
-                batcher.configure(max_batch_size=7)
-
-        def set_latency():
-            barrier.wait()
-            for _ in range(500):
-                batcher.configure(max_latency=0.007)
-
-        threads = [threading.Thread(target=set_size),
-                   threading.Thread(target=set_latency)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        # Without the limits lock, interleaved read-modify-writes could
-        # resurrect a stale field; with it, both final values survive.
-        assert batcher.max_batch_size == 7
-        assert batcher.max_latency == 0.007
-
-    def test_configure_validates_and_keeps_old_limits_on_error(self):
-        batcher = MicroBatcher(lambda nodes: np.zeros((nodes.size, 2)),
-                               max_batch_size=16, max_latency=0.004)
-        with pytest.raises(ValueError):
-            batcher.configure(max_batch_size=0)
-        with pytest.raises(ValueError):
-            batcher.configure(max_latency=-1.0)
-        assert (batcher.max_batch_size, batcher.max_latency) == (16, 0.004)
-
-    def test_results_stay_correct_while_limits_flap(self):
-        """Hammer a live batcher while another thread flips both limits:
-        every ticket still gets exactly its own rows back."""
-        def scorer(nodes):
-            return np.stack([nodes.astype(float), 2.0 * nodes], axis=1)
-
-        batcher = MicroBatcher(scorer, max_batch_size=8, max_latency=0.0)
-        stop = threading.Event()
-
-        def flap():
-            flip = False
-            while not stop.is_set():
-                if flip:
-                    batcher.configure(max_batch_size=1, max_latency=0.0)
-                else:
-                    batcher.configure(max_batch_size=64, max_latency=0.002)
-                flip = not flip
-
-        flapper = threading.Thread(target=flap, daemon=True)
-        with batcher:
-            flapper.start()
-            try:
-                tickets = [(i, batcher.submit([i, i + 1]))
-                           for i in range(300)]
-                for i, ticket in tickets:
-                    result = ticket.result(10.0)
-                    np.testing.assert_array_equal(result[:, 0], [i, i + 1])
-            finally:
-                stop.set()
-                flapper.join()
-        assert batcher.depth() == 0  # everything drained and accounted
-
-    def test_slo_controller_drives_a_real_router_safely(self, registry,
-                                                        graph, model):
+class TestLiveAccounting:
+    def test_slo_controller_accounts_a_live_service(self, registry, graph,
+                                                    model):
         """End to end: a controller ticking against a live service while
-        requests flow — budgets move, scores never do."""
+        requests flow — the budget is spent, scores never move."""
         service = InferenceService(registry, graph=graph)
-        ctl = SloController(service.batcher, target_p99=1e-6,  # everything
-                            metrics=service.metrics)           # violates
-        service.attach_slo(ctl)
+        ctl = SloController(service.metrics, target_p99=1e-6)  # everything
+        service.attach_slo(ctl)                                # violates
         offline = model.decision_scores(graph, mode="private")
         try:
             for i in range(10):
@@ -457,8 +248,9 @@ class TestReconfigurationUnderLoad:
             state = service.stats()["slo"]
             assert state["enabled"] is True
             (label, budget), = state["models"].items()
-            assert budget["windows_over_slo"] >= 1   # it did intervene
-            assert budget["max_batch_size"] >= 1
+            assert budget["bad_requests"] == 10      # each judged once
+            assert budget["good_requests"] == 0
+            assert budget["burn_rate"] == pytest.approx(100.0)
         finally:
             service.close()
 
@@ -518,9 +310,8 @@ class TestErrorBudget:
         from repro.serving.metrics import ServingMetrics
 
         self.now = [0.0]
-        router = FakeRouter()
         metrics = ServingMetrics()
-        ctl = SloController(router, target_p99=target_p99, metrics=metrics,
+        ctl = SloController(metrics, target_p99=target_p99,
                             objective=objective, budget_window=budget_window,
                             clock=lambda: self.now[0])
         return ctl, metrics
@@ -596,3 +387,18 @@ class TestErrorBudget:
             controller(objective=1.5)
         with pytest.raises(ValueError, match="budget_window"):
             controller(budget_window=0.0)
+
+    def test_idle_ticks_store_no_history(self):
+        """An idle window adds nothing to either budget sum, so it must not
+        grow the history a tick keeps: with graph churn minting new labels
+        every second, storing idle windows made each tick cost grow with
+        uptime times labels."""
+        ctl, metrics = self._controller(budget_window=3600.0)
+        self._observe(metrics, "m", 0.200, 5)
+        for step in range(1001):       # one observed window, 1000 idle
+            self.now[0] = step * 0.25
+            ctl.tick()
+        assert len(ctl._budgets["m"]._history) == 1
+        state = ctl.state()["models"]["m"]
+        assert state["bad_requests"] == 5
+        assert state["burn_rate"] == pytest.approx(10.0)
