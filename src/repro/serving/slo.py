@@ -127,6 +127,8 @@ class SloController:
                  clock=time.monotonic):
         if target_p99 <= 0:
             raise ValueError(f"target_p99 must be > 0, got {target_p99}")
+        if interval <= 0:  # a zero wait would spin the loop on one core
+            raise ValueError(f"interval must be > 0, got {interval}")
         if not 0.0 < objective < 1.0:
             raise ValueError(f"objective must be in (0, 1), got {objective}")
         if budget_window <= 0:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.serving import MicroBatcher
+from repro.serving.batcher import checked_batch_size
 
 
 class CountingScorer:
@@ -73,6 +74,30 @@ class TestRunOnce:
             MicroBatcher(CountingScorer(), max_batch_size=0)
         with pytest.raises(TypeError):  # batching has no linger to set
             MicroBatcher(CountingScorer(), max_latency=0.0)
+
+    def test_run_once_on_an_empty_queue_is_a_noop(self):
+        scorer = CountingScorer()
+        batcher = MicroBatcher(scorer)
+        assert batcher.run_once() == 0
+        assert scorer.calls == []
+        assert batcher.stats.batches == 0
+
+    def test_run_once_drains_past_the_cap(self):
+        """The synchronous drain takes the whole queue as one batch; only
+        the dispatch loop stops stacking at ``max_batch_size``."""
+        scorer = CountingScorer()
+        batcher = MicroBatcher(scorer, max_batch_size=2)
+        for i in range(5):
+            batcher.submit([i])
+        assert batcher.run_once() == 5
+        assert [call.tolist() for call in scorer.calls] == [[0, 1, 2, 3, 4]]
+
+    def test_checked_batch_size_normalises_and_rejects(self):
+        assert checked_batch_size(1) == 1
+        assert type(checked_batch_size(np.int64(7))) is int
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="max_batch_size"):
+                checked_batch_size(bad)
 
     def test_inline_execution_without_a_thread(self):
         """predict_scores works with no dispatch thread running."""
@@ -155,6 +180,48 @@ class TestDispatchThread:
         assert [call.size for call in scorer.calls] == [1, 16]
         assert batcher.stats.batches == 2
         assert batcher.stats.coalesced_requests == 16
+
+    def test_max_batch_size_flushes_early(self):
+        """Rows queued behind an in-flight matmul are cut into batches at
+        the cap: a full batch dispatches with more rows still queued."""
+        scorer = CountingScorer()
+        entered, release = threading.Event(), threading.Event()
+        batcher = MicroBatcher(gated(scorer, release, entered),
+                               max_batch_size=4)
+        batcher.start()
+        try:
+            first = batcher.submit([0])
+            assert entered.wait(10.0)
+            tickets = [batcher.submit([i]) for i in range(1, 7)]
+            release.set()
+            for i, ticket in enumerate([first] + tickets):
+                np.testing.assert_array_equal(ticket.result(10.0),
+                                              [[i, 2 * i]])
+        finally:
+            release.set()
+            batcher.close()
+        assert [call.tolist() for call in scorer.calls] == [
+            [0], [1, 2, 3, 4], [5, 6]]
+        assert batcher.stats.max_batch_rows == 4
+
+    def test_lone_request_dispatches_alone(self):
+        """A request that finds its queue idle runs at once, by itself."""
+        scorer = CountingScorer()
+        with MicroBatcher(scorer, max_batch_size=64) as batcher:
+            np.testing.assert_array_equal(
+                batcher.predict_scores([3], timeout=10.0), [[3, 6]])
+        assert [call.tolist() for call in scorer.calls] == [[3]]
+        assert batcher.stats.batches == 1
+        assert batcher.stats.coalesced_requests == 0
+
+    def test_an_oversized_request_runs_whole(self):
+        """The cap stops stacking *further* requests; it never splits one."""
+        scorer = CountingScorer()
+        with MicroBatcher(scorer, max_batch_size=2) as batcher:
+            scores = batcher.predict_scores([0, 1, 2, 3, 4], timeout=10.0)
+        np.testing.assert_array_equal(scores[:, 0], np.arange(5))
+        assert [call.size for call in scorer.calls] == [5]
+        assert batcher.stats.max_batch_rows == 5
 
     def test_close_flushes_stragglers(self):
         """Tickets still queued when close() stops the dispatch loop are

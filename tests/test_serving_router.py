@@ -116,6 +116,22 @@ class TestRouting:
         # compute (generous bound for scheduler noise on a loaded 1-core CI).
         assert fast_elapsed < 0.2, f"fast model waited {fast_elapsed:.3f}s"
 
+    def test_every_queue_runs_the_router_cap(self):
+        """One fixed row cap for every model: no per-model overrides, and
+        the per-model stats report the cap with no linger."""
+        router = ModelRouter(CountingScorer(), max_batch_size=2)
+        for model in ("a", "b"):
+            assert router.queue_for(model).max_batch_size == 2
+            for i in range(3):
+                router.submit(model, [i])
+        router.run_once()
+        per_model = router.per_model_stats()
+        assert {label: stats["max_batch_size"]
+                for label, stats in per_model.items()} == {"a": 2, "b": 2}
+        assert all("max_latency_seconds" not in stats
+                   for stats in per_model.values())
+        assert not hasattr(router, "configure_model")
+
     def test_aggregate_stats_merge_across_queues(self):
         scorer = CountingScorer()
         router = ModelRouter(scorer)

@@ -89,9 +89,55 @@ class TestSloController:
             "good_requests", "bad_requests", "error_budget_remaining",
             "error_budget_consumed", "burn_rate"}
 
+    def test_each_window_is_charged_once(self):
+        """A tick charges only the requests since the previous tick (the
+        difference of two histogram snapshots), never the lifetime counts
+        again."""
+        metrics = FakeMetrics()
+        ctl = controller(metrics, target_p99=0.050)
+        metrics.observe("m", 0.001, n=40)
+        ctl.tick()
+        metrics.observe("m", 0.300, n=10)
+        ctl.tick()
+        metrics.observe("m", 0.001, n=5)
+        ctl.tick()
+        budget = ctl.state()["models"]["m"]
+        assert (budget["good_requests"], budget["bad_requests"]) == (45, 10)
+        assert ctl.state()["ticks"] == 3
+
+    def test_target_is_judged_at_bucket_edges(self):
+        """Good means a bucket whose upper edge is at or under the target:
+        the bucket that straddles the target is charged as bad, so the
+        accounting never rounds a slow request down to good."""
+        metrics = FakeMetrics()
+        ctl = controller(metrics, target_p99=0.050)
+        edge = LATENCY_BUCKETS[bisect.bisect_right(LATENCY_BUCKETS, 0.050) - 1]
+        assert edge <= 0.050
+        metrics.observe("m", edge, n=3)           # in the last good bucket
+        metrics.observe("m", edge * 1.001, n=2)   # straddles the target
+        ctl.tick()
+        budget = ctl.state()["models"]["m"]
+        assert (budget["good_requests"], budget["bad_requests"]) == (3, 2)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="target_p99"):
             controller(target_p99=0.0)
+
+    def test_interval_validation(self):
+        for interval in (0.0, -1.0):
+            with pytest.raises(ValueError, match="interval"):
+                controller(interval=interval)
+
+    def test_start_is_idempotent(self):
+        ctl = controller(interval=60.0)
+        try:
+            thread = ctl.start()._thread
+            assert thread is not None and thread.is_alive()
+            assert ctl.start()._thread is thread   # no second loop
+        finally:
+            ctl.close()
+        assert not thread.is_alive()
+        assert ctl._thread is None
 
     def test_background_loop_ticks_and_survives_errors(self):
         class ExplodingMetrics:
@@ -174,6 +220,25 @@ class TestAdmissionControl:
         served = service.predict_scores("demo", [0, 1, 2])
         assert np.array_equal(served, offline[[0, 1, 2]])
         assert service.stats()["admission"]["shed_total"] == 0
+
+    def test_retry_after_is_the_drain_time_at_the_row_cap(self, registry,
+                                                          graph, model):
+        """The retry hint counts the flushes the full queue needs at the
+        router's fixed row cap; queued requests still resolve bitwise."""
+        service = InferenceService(registry, graph=graph, max_batch_size=1,
+                                   max_queue_depth=2)
+        queued = [service.submit_batch("demo", [i]) for i in range(2)]
+        with pytest.raises(OverloadedError) as excinfo:
+            service.submit_batch("demo", [2])
+        error = excinfo.value
+        assert error.depth == 2
+        assert error.retry_after == pytest.approx(
+            estimate_drain_seconds(2, 1))
+        assert service.batcher.run_once() == 2
+        offline = model.decision_scores(graph, mode="private")
+        for i, (ticket, _record, _mode) in enumerate(queued):
+            assert np.array_equal(ticket.result(1.0), offline[[i]])
+        assert service.stats()["admission"]["shed_total"] == 1
 
     def test_http_429_with_retry_after(self, registry, graph):
         """Overload is answered with 429 + Retry-After on the wire."""
@@ -381,6 +446,30 @@ class TestErrorBudget:
         state = ctl.state()["models"]["m"]
         assert state["good_requests"] == 10
         assert state["error_budget_remaining"] == pytest.approx(1.0)
+
+    def test_budget_series_publish_only_when_the_budget_moves(self):
+        """A label's series are published when it first appears and when a
+        window charges or rolls off spend; an idle tick publishes nothing."""
+        published = []
+
+        class PublishingMetrics(FakeMetrics):
+            def set_series(self, name, value, **kwargs):
+                if name == "repro_slo_bad_requests_total":
+                    published.append((kwargs["labels"]["model"], value))
+
+        self.now = [0.0]
+        metrics = PublishingMetrics()
+        ctl = SloController(metrics, target_p99=0.050, budget_window=100.0,
+                            clock=lambda: self.now[0])
+        metrics.observe("m", 0.300, n=4)
+        ctl.tick()
+        assert published == [("m", 4)]
+        ctl.tick()                            # idle: nothing moved
+        assert published == [("m", 4)]
+        self.now[0] = 200.0                   # the spend rolls off
+        ctl.tick()
+        assert published == [("m", 4), ("m", 4)]
+        assert ctl.state()["models"]["m"]["burn_rate"] == 0.0
 
     def test_objective_validation(self):
         with pytest.raises(ValueError, match="objective"):
