@@ -18,6 +18,14 @@ touched set is exactly the delta endpoints, the incremental path wins.
 Public finite-step configurations are reported with their touched-row
 counts; their advantage shrinks as the BFS halo approaches the whole graph.
 
+A second table times the **apply** stage itself — checking a delta and
+building the next epoch's graph — as one batch
+(:meth:`~repro.graphs.graph.GraphDataset.with_edges`: one sparse add and
+one ``validate()``) against the per-edge reference it replaced (one
+``lil_matrix`` round trip and one ``validate()`` per edge, kept in
+``tests/test_graphs_edge_delta.py``), at 5+5 and 50+50 edges.  Every row
+asserts the two graphs have the same digest.
+
 ``REPRO_SMOKE=1`` (or ``pytest --smoke``) shrinks the graph; CI runs that.
 """
 
@@ -29,14 +37,20 @@ import numpy as np
 
 from benchmarks.conftest import bench_settings, record
 from repro.core.inference import inference_features
-from repro.core.propagation import Propagator, incremental_inference_features
+from repro.core.propagation import (
+    Propagator,
+    graph_fingerprint,
+    incremental_inference_features,
+)
 from repro.evaluation.reporting import render_table
 from repro.graphs.datasets import load_dataset
 from repro.serving import GraphStore
+from tests.test_graphs_edge_delta import per_edge_graph
 
 ALPHA = 0.8
 INFERENCE_ALPHA = 0.6
 DELTA_EDGES = (2, 1)  # inserts, deletes — a realistic small live batch
+APPLY_DELTAS = ((5, 5), (50, 50))  # inserts, deletes for the apply table
 CONFIGURATIONS = (
     ("private m=[0,2,4]", "private", [0, 2, 4]),
     ("public  m=[2]", "public", [2]),
@@ -131,3 +145,43 @@ def test_graph_update_incremental_vs_full(benchmark):
         f"incremental ({private['incremental_seconds']:.4f}s) did not beat "
         f"full recompute ({private['full_seconds']:.4f}s) with "
         f"{private['touched']}/{private['nodes']} rows touched")
+
+
+def _run_apply(settings):
+    graph = load_dataset(settings.datasets[0], scale=settings.scale,
+                         seed=settings.seed)
+    rows = []
+    for inserts, deletes in APPLY_DELTAS:
+        delta = GraphStore(graph).sample_delta(inserts, deletes,
+                                               seed=settings.seed)
+        batch, batch_seconds = _timed(
+            lambda: graph.with_edges(delta.inserts, delta.deletes),
+            max(settings.repeats, 5))
+        # One run: the reference is slow and its timing is not the claim.
+        reference, reference_seconds = _timed(
+            lambda: per_edge_graph(graph, delta.inserts, delta.deletes), 1)
+        digest = graph_fingerprint(batch.adjacency)
+        assert digest == graph_fingerprint(reference.adjacency), (
+            f"batch != per-edge reference at {inserts}+{deletes} edges")
+        rows.append({"label": f"{inserts}+{deletes}", "digest": digest,
+                     "batch_seconds": batch_seconds,
+                     "reference_seconds": reference_seconds})
+    return {"nodes": graph.num_nodes, "edges": graph.num_edges, "rows": rows}
+
+
+def test_graph_update_apply_batch_vs_per_edge(benchmark):
+    settings = bench_settings(datasets=("cora_ml",))
+    outcome = benchmark.pedantic(_run_apply, args=(settings,),
+                                 rounds=1, iterations=1)
+    table = [[row["label"], f"{row['reference_seconds'] * 1e3:.2f}",
+              f"{row['batch_seconds'] * 1e3:.2f}",
+              f"{row['reference_seconds'] / row['batch_seconds']:.1f}x",
+              row["digest"][:12]]
+             for row in outcome["rows"]]
+    record("graph_update_apply",
+           render_table(
+               ["inserts+deletes", "per-edge ms", "batch ms", "speedup",
+                "digest (equal)"],
+               table,
+               title=f"apply stage on {outcome['nodes']} nodes / "
+                     f"{outcome['edges']} edges"))

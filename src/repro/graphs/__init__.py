@@ -8,6 +8,7 @@ from repro.graphs.adjacency import (
     symmetric_normalize,
     remove_edge,
     add_edge,
+    apply_edge_delta,
 )
 from repro.graphs.homophily import homophily_ratio
 from repro.graphs.generators import generate_citation_graph, CitationGraphSpec
@@ -47,6 +48,7 @@ __all__ = [
     "symmetric_normalize",
     "remove_edge",
     "add_edge",
+    "apply_edge_delta",
     "homophily_ratio",
     "generate_citation_graph",
     "CitationGraphSpec",

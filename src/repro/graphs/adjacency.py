@@ -3,8 +3,8 @@
 The paper's propagation uses the row-stochastic normalisation
 ``Ã = D^{-1}(A + I)`` (Section IV-C2 with r = 0); the non-private GCN
 baseline uses the symmetric normalisation ``D^{-1/2}(A + I)D^{-1/2}`` of Kipf
-& Welling.  Both are provided here, along with edge add/remove helpers used
-to construct edge-level neighbouring graphs for sensitivity experiments.
+& Welling.  Both are provided here, along with the edge-delta helpers used
+to construct edge-level neighbouring graphs and to apply live graph updates.
 """
 
 from __future__ import annotations
@@ -93,27 +93,76 @@ def general_normalize(adjacency: sp.spmatrix, r: float, add_loops: bool = True) 
     return sp.diags(left).dot(matrix).dot(sp.diags(right)).tocsr()
 
 
+def _edge_array(edges, verb: str, n: int) -> np.ndarray:
+    """Check an edge batch against ``n`` nodes; return it as ``(k, 2)`` with u < v."""
+    array = np.asarray(edges, dtype=np.int64)
+    if array.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if array.ndim != 2 or array.shape[1] != 2:
+        raise GraphDataError(f"edges to {verb} must have shape (k, 2), got {array.shape}")
+    bad = np.flatnonzero(((array < 0) | (array >= n)).any(axis=1))
+    if bad.size:
+        u, v = array[bad[0]]
+        raise GraphDataError(f"cannot {verb} edge ({u}, {v}): node id out of range [0, {n})")
+    loops = np.flatnonzero(array[:, 0] == array[:, 1])
+    if loops.size:
+        raise GraphDataError(f"cannot {verb} a self-loop: u == v == {array[loops[0], 0]}")
+    return np.sort(array, axis=1)
+
+
+def apply_edge_delta(adjacency: sp.spmatrix, inserts=(), deletes=()) -> sp.csr_matrix:
+    """Return a copy of ``adjacency`` with a batch of undirected edges inserted
+    and deleted.
+
+    The whole batch is checked against ``adjacency`` before anything is built:
+    node ids in range, no self-loops, no edge twice in one half, no edge in
+    both halves, no insert of a present edge, no delete of an absent one.  Any
+    failure raises :class:`GraphDataError`.  The result is ``A + Δ`` from one
+    sparse add, where ``Δ`` holds +1 (insert) or -1 (delete) at both
+    orientations of every edge, in canonical CSR form (no stored zeros,
+    sorted indices, the smallest index dtype that fits): the same arrays,
+    bit for bit, as applying the edges one at a time.
+    """
+    matrix = sp.csr_matrix(adjacency, dtype=np.float64)
+    n = matrix.shape[0]
+    added = _edge_array(inserts, "add", n)
+    removed = _edge_array(deletes, "remove", n)
+    edges = np.concatenate([added, removed])
+    codes = edges[:, 0] * n + edges[:, 1]
+    unique, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    if unique.size < codes.size:
+        u, v = edges[first[np.argmax(counts > 1)]]
+        raise GraphDataError(f"edge ({u}, {v}) appears twice in one batch")
+    present = np.zeros(len(edges), dtype=bool)
+    if len(edges):
+        present = np.asarray(matrix[edges[:, 0], edges[:, 1]]).ravel() != 0
+    wrong = np.flatnonzero(present[:len(added)])
+    if wrong.size:
+        u, v = added[wrong[0]]
+        raise GraphDataError(f"edge ({u}, {v}) is already present")
+    wrong = np.flatnonzero(~present[len(added):])
+    if wrong.size:
+        u, v = removed[wrong[0]]
+        raise GraphDataError(f"edge ({u}, {v}) is not present")
+    signs = np.concatenate([np.ones(len(added)), -np.ones(len(removed))])
+    delta = sp.csr_matrix(
+        (np.concatenate([signs, signs]),
+         (np.concatenate([edges[:, 0], edges[:, 1]]),
+          np.concatenate([edges[:, 1], edges[:, 0]]))),
+        shape=matrix.shape)
+    out = matrix + delta
+    out.eliminate_zeros()
+    out.sort_indices()
+    # Rebuilding through the constructor picks the index dtype from the
+    # contents, as ``lil_matrix.tocsr`` does.
+    return sp.csr_matrix((out.data, out.indices, out.indptr), shape=out.shape)
+
+
 def remove_edge(adjacency: sp.spmatrix, u: int, v: int) -> sp.csr_matrix:
     """Return a copy of ``adjacency`` with the undirected edge (u, v) removed."""
-    if u == v:
-        raise GraphDataError("cannot remove a self-loop: u == v")
-    matrix = sp.lil_matrix(adjacency, dtype=np.float64)
-    if matrix[u, v] == 0:
-        raise GraphDataError(f"edge ({u}, {v}) is not present")
-    matrix[u, v] = 0.0
-    matrix[v, u] = 0.0
-    out = matrix.tocsr()
-    out.eliminate_zeros()
-    return out
+    return apply_edge_delta(adjacency, deletes=[(u, v)])
 
 
 def add_edge(adjacency: sp.spmatrix, u: int, v: int) -> sp.csr_matrix:
     """Return a copy of ``adjacency`` with the undirected edge (u, v) added."""
-    if u == v:
-        raise GraphDataError("cannot add a self-loop: u == v")
-    matrix = sp.lil_matrix(adjacency, dtype=np.float64)
-    if matrix[u, v] != 0:
-        raise GraphDataError(f"edge ({u}, {v}) is already present")
-    matrix[u, v] = 1.0
-    matrix[v, u] = 1.0
-    return matrix.tocsr()
+    return apply_edge_delta(adjacency, inserts=[(u, v)])

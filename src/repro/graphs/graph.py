@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import GraphDataError
+from repro.graphs.adjacency import apply_edge_delta
 from repro.utils.math import one_hot
 
 
@@ -114,17 +115,19 @@ class GraphDataset:
         coo = sp.triu(self.adjacency, k=1).tocoo()
         return np.stack([coo.row, coo.col], axis=1).astype(np.int64)
 
+    def with_edges(self, inserts=(), deletes=()) -> "GraphDataset":
+        """Return this dataset with a batch of undirected edges inserted and
+        deleted, checked and built in one pass
+        (:func:`~repro.graphs.adjacency.apply_edge_delta`) and validated once."""
+        return replace(self, adjacency=apply_edge_delta(self.adjacency, inserts, deletes))
+
     def without_edge(self, u: int, v: int) -> "GraphDataset":
         """Return the edge-level neighbouring dataset with edge (u, v) removed."""
-        from repro.graphs.adjacency import remove_edge
-
-        return replace(self, adjacency=remove_edge(self.adjacency, u, v), name=self.name)
+        return self.with_edges(deletes=[(u, v)])
 
     def with_edge(self, u: int, v: int) -> "GraphDataset":
         """Return the edge-level neighbouring dataset with edge (u, v) added."""
-        from repro.graphs.adjacency import add_edge
-
-        return replace(self, adjacency=add_edge(self.adjacency, u, v), name=self.name)
+        return self.with_edges(inserts=[(u, v)])
 
     # ------------------------------------------------------------------ #
     # convenience

@@ -34,15 +34,16 @@ class NeighboringPair:
     kind: str
 
 
-def sample_absent_edge(graph: GraphDataset,
-                       rng: int | np.random.Generator | None = None) -> tuple[int, int]:
-    """Sample a uniformly random node pair (u < v) that is *not* an edge."""
-    rng = as_rng(rng)
+def _absent_edge(graph: GraphDataset, rng: np.random.Generator,
+                 added=frozenset(), removed=frozenset()) -> tuple[int, int]:
+    """Draw a uniformly random node pair (u < v) absent from the graph
+    ``graph + added - removed``; an edge in both sets was removed, then
+    added back, so it is present."""
     n = graph.num_nodes
     if n < 2:
         raise GraphDataError("need at least two nodes to sample a non-edge")
     max_edges = n * (n - 1) // 2
-    if graph.num_edges >= max_edges:
+    if graph.num_edges + len(added) - len(removed) >= max_edges:
         raise GraphDataError("the graph is complete; no absent edge exists")
     adjacency = graph.adjacency
     while True:
@@ -50,20 +51,56 @@ def sample_absent_edge(graph: GraphDataset,
         v = int(rng.integers(0, n))
         if u == v:
             continue
-        u, v = (u, v) if u < v else (v, u)
-        if adjacency[u, v] == 0:
-            return u, v
+        edge = (u, v) if u < v else (v, u)
+        if edge in added:
+            continue
+        if edge in removed or adjacency[edge] == 0:
+            return edge
+
+
+def sample_absent_edge(graph: GraphDataset,
+                       rng: int | np.random.Generator | None = None) -> tuple[int, int]:
+    """Sample a uniformly random node pair (u < v) that is *not* an edge."""
+    return _absent_edge(graph, as_rng(rng))
+
+
+def sample_absent_edges(graph: GraphDataset, count: int,
+                        rng: int | np.random.Generator | None = None,
+                        ) -> list[tuple[int, int]]:
+    """Sample ``count`` distinct non-edges (u < v), each uniform over the pairs
+    still absent once the earlier ones are added: the draws of ``count``
+    calls of :func:`sample_absent_edge` with an :meth:`GraphDataset.with_edge`
+    after each, without building a graph per edge."""
+    rng = as_rng(rng)
+    added: dict[tuple[int, int], None] = {}  # insertion-ordered set
+    for _ in range(count):
+        added[_absent_edge(graph, rng, added)] = None
+    return list(added)
 
 
 def sample_present_edge(graph: GraphDataset,
                         rng: int | np.random.Generator | None = None) -> tuple[int, int]:
     """Sample a uniformly random existing undirected edge (u < v)."""
+    return sample_present_edges(graph, 1, rng)[0]
+
+
+def sample_present_edges(graph: GraphDataset, count: int,
+                         rng: int | np.random.Generator | None = None,
+                         ) -> list[tuple[int, int]]:
+    """Sample ``count`` distinct edges (u < v), each uniform over the edges
+    left once the earlier ones are removed: the draws of ``count`` calls of
+    :func:`sample_present_edge` with an :meth:`GraphDataset.without_edge`
+    after each, from one edge list."""
     rng = as_rng(rng)
     edges = graph.edges()
-    if edges.shape[0] == 0:
-        raise GraphDataError("the graph has no edges to sample")
-    index = int(rng.integers(0, edges.shape[0]))
-    return int(edges[index, 0]), int(edges[index, 1])
+    chosen = []
+    for _ in range(count):
+        if edges.shape[0] == 0:
+            raise GraphDataError("the graph has no edges to sample")
+        index = int(rng.integers(0, edges.shape[0]))
+        chosen.append((int(edges[index, 0]), int(edges[index, 1])))
+        edges = np.delete(edges, index, axis=0)
+    return chosen
 
 
 def sample_neighboring_pair(graph: GraphDataset, kind: str = "remove",
@@ -107,11 +144,7 @@ def remove_random_edges(graph: GraphDataset, fraction: float,
     if num_remove == 0:
         return graph
     chosen = rng.choice(edges.shape[0], size=num_remove, replace=False)
-    perturbed = graph
-    for index in chosen:
-        u, v = int(edges[index, 0]), int(edges[index, 1])
-        perturbed = perturbed.without_edge(u, v)
-    return perturbed
+    return graph.with_edges(deletes=edges[chosen])
 
 
 def add_random_edges(graph: GraphDataset, count: int,
@@ -119,12 +152,9 @@ def add_random_edges(graph: GraphDataset, count: int,
     """Return a copy of ``graph`` with ``count`` uniformly random new edges added."""
     if count < 0:
         raise GraphDataError(f"count must be >= 0, got {count}")
-    rng = as_rng(rng)
-    perturbed = graph
-    for _ in range(count):
-        u, v = sample_absent_edge(perturbed, rng)
-        perturbed = perturbed.with_edge(u, v)
-    return perturbed
+    if count == 0:
+        return graph
+    return graph.with_edges(inserts=sample_absent_edges(graph, count, rng))
 
 
 def rewire_edges(graph: GraphDataset, fraction: float,
@@ -132,7 +162,9 @@ def rewire_edges(graph: GraphDataset, fraction: float,
     """Rewire a random ``fraction`` of edges (remove each and add a random non-edge).
 
     Keeps the edge count constant while destroying structure; used to study
-    how homophily degradation affects GCON versus the baselines.
+    how homophily degradation affects GCON versus the baselines.  Edges are
+    rewired in turn, so a replacement is drawn after its edge is gone and
+    may land on any edge removed so far, that one included.
     """
     if not 0.0 <= fraction <= 1.0:
         raise GraphDataError(f"fraction must be in [0, 1], got {fraction}")
@@ -142,13 +174,14 @@ def rewire_edges(graph: GraphDataset, fraction: float,
     if num_rewire == 0:
         return graph
     chosen = rng.choice(edges.shape[0], size=num_rewire, replace=False)
-    perturbed = graph
+    removed: set[tuple[int, int]] = set()
+    added: set[tuple[int, int]] = set()
     for index in chosen:
-        u, v = int(edges[index, 0]), int(edges[index, 1])
-        perturbed = perturbed.without_edge(u, v)
-        new_u, new_v = sample_absent_edge(perturbed, rng)
-        perturbed = perturbed.with_edge(new_u, new_v)
-    return perturbed
+        removed.add((int(edges[index, 0]), int(edges[index, 1])))
+        added.add(_absent_edge(graph, rng, added, removed))
+    # An edge removed and then drawn back is unchanged.
+    return graph.with_edges(inserts=sorted(added - removed),
+                            deletes=sorted(removed - added))
 
 
 def edge_flip_distance(first: GraphDataset, second: GraphDataset) -> int:

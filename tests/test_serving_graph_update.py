@@ -275,6 +275,7 @@ class TestHttpSurface:
         ({"sample_insert": -2}, "non-negative"),
         ({"sample_insert": 1, "graph": "nope"}, "unknown graph"),
         ({"insert": [[4, 4]]}, "self-loop"),
+        ({"insert": [[0, 1000000]]}, "out of range"),
     ])
     def test_bad_updates_are_400(self, server, payload, fragment):
         status, body = _http(server, "/v1/graph/update", payload)

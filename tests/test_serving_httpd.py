@@ -215,6 +215,39 @@ class TestHttpFraming:
                    for p in predictions)
         assert _body(responses[3])["batcher"]["requests"] >= 3
 
+    def test_pipelined_responses_are_not_held_for_delayed_acks(self, server):
+        """A response written while the previous one is still unacknowledged
+        must leave at once.  With Nagle's algorithm on the accepted socket it
+        waits for the client's delayed ACK (>= 40 ms on Linux), so every
+        pipelined response after the first arrives ~40 ms late."""
+        body = json.dumps({"model": "demo", "nodes": [0, 1]}).encode()
+        request = (b"POST /v1/predict HTTP/1.1\r\n"
+                   b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+        port = server.server_address[1]
+        gaps = []
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10.0) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for _round in range(12):
+                sock.sendall(request * 3)
+                arrivals, buf = [], b""
+                while len(arrivals) < 3:
+                    chunk = sock.recv(65536)
+                    assert chunk, "server closed the connection"
+                    buf += chunk
+                    while (split := _split_one_response(buf)) is not None:
+                        response, buf = split
+                        assert _status(response) == 200
+                        arrivals.append(time.perf_counter())
+                gaps.append(max(later - earlier for earlier, later
+                                in zip(arrivals, arrivals[1:])))
+        # The median shrugs off a scheduling hiccup; a Nagle stall hits
+        # nearly every round.
+        gaps.sort()
+        assert gaps[len(gaps) // 2] < 0.015, (
+            f"pipelined response gaps (ms): "
+            f"{[round(gap * 1e3, 1) for gap in gaps]}")
+
     def test_connection_close_is_honoured(self, server):
         responses = _raw(server, b"GET /healthz HTTP/1.1\r\n"
                                  b"Connection: close\r\n\r\n")
